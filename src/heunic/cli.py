@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Callable, TextIO
 
 from . import coincidence, relations
 from .closed_forms import (
@@ -32,7 +33,7 @@ from .closed_forms import (
     eval_sample_family,
 )
 from .coincidence import EntropyKind, FMethod, GMethod
-from .errors import DivergentSeriesError, DomainError, UnknownRelationError
+from .errors import DomainError, UnknownRelationError
 from .hypergeom import (
     Clausen3F2Params,
     Gauss2F1Params,
@@ -48,14 +49,88 @@ from .identities import (
 )
 from .series import (
     ConfluentHeunParams,
+    EvalResult,
     GeneralHeunParams,
     SeriesOptions,
     eval_confluent_heun,
     eval_heun_local,
 )
 
-TARGETS = ("heun", "confluent", "F", "G", "K", "Kderiv", "2f1", "3f2",
-           "hl-hyp", "family-neg", "family-pos", "sample-family")
+Route = Callable[[argparse.Namespace, float, SeriesOptions],
+                 tuple[float, float, bool]]
+
+
+@dataclass(frozen=True)
+class Target:
+    """One evaluation target of the CLI: the flags it needs and its routes.
+
+    Each route maps (args, x, opts) to (value, error_estimate, converged);
+    ``routes`` keeps them in the order crosscheck reports them.
+    """
+
+    flags: tuple[str, ...]      # required, in the order usage errors list them
+    routes: dict[str, Route]
+    default: str | None = None  # route when --method is absent; None: the only one
+    takes_x: bool = True        # False: a unit-argument target, --x is ignored
+    index: bool = False         # an index of coincidence: entropy, crosscheck
+
+
+def _result(r: EvalResult) -> tuple[float, float, bool]:
+    return r.value, r.error_estimate, r.converged
+
+
+def _exact(value: float) -> tuple[float, float, bool]:
+    return value, 0.0, True
+
+
+TARGETS: dict[str, Target] = {
+    "heun": Target(("a", "q", "alpha", "beta", "gamma", "delta"), {
+        "series": lambda args, x, opts: _result(eval_heun_local(
+            GeneralHeunParams(args.a, args.q, args.alpha, args.beta,
+                              args.gamma, args.delta), x, opts))}),
+    "confluent": Target(("p", "gamma", "delta", "alpha", "sigma"), {
+        "series": lambda args, x, opts: _result(eval_confluent_heun(
+            ConfluentHeunParams(args.p, args.gamma, args.delta, args.alpha,
+                                args.sigma), x, opts))}),
+    "F": Target(("n",), {
+        m.value: lambda args, x, opts, m=m: _exact(coincidence.eval_F(args.n, x, m))
+        for m in FMethod}, default=FMethod.ESTABLISHED.value, index=True),
+    "G": Target(("n",), {
+        m.value: lambda args, x, opts, m=m: _result(coincidence.eval_G(args.n, x, m, opts))
+        for m in GMethod}, default=GMethod.ESTABLISHED.value, index=True),
+    "K": Target(("n",), {
+        "definitional": lambda args, x, opts: _result(coincidence.eval_K(args.n, x, opts)),
+        "quadrature": lambda args, x, opts: (
+            *coincidence.k_derivative_quadrature(args.n, 0, x), True),
+        # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n)
+        "confluent-series": lambda args, x, opts: _result(eval_confluent_heun(
+            ConfluentHeunParams(args.n, 1.0, 0.0, 0.5, 2.0 * args.n), x, opts)),
+    }, default="definitional", index=True),
+    "Kderiv": Target(("n", "j"), {
+        "quadrature": lambda args, x, opts: (
+            *coincidence.k_derivative_quadrature(args.n, args.j, x), True)}),
+    "2f1": Target(("a", "b", "c"), {
+        "series": lambda args, x, opts: _result(gauss_2f1(
+            Gauss2F1Params(args.a, args.b, args.c), x, opts))}),
+    "3f2": Target(("a1", "a2", "a3", "b1", "b2"), {
+        "accelerated": lambda args, x, opts: _result(clausen_3f2_unit(
+            Clausen3F2Params(args.a1, args.a2, args.a3, args.b1, args.b2), opts))},
+        takes_x=False),
+    "hl-hyp": Target(("q",), {
+        "hypergeometric": lambda args, x, opts: _result(
+            eval_hl_hypergeometric(args.q, x, opts))}),
+    "family-neg": Target(("n", "theta", "gamma"), {
+        "closed": lambda args, x, opts: _exact(eval_family_negative(
+            FamilyParamsNeg(args.n, args.theta, args.gamma), x))}),
+    "family-pos": Target(("n", "theta", "gamma"), {
+        "closed": lambda args, x, opts: _exact(eval_family_positive(
+            FamilyParamsPos(args.n, args.theta, args.gamma), x))}),
+    "sample-family": Target(("n", "i"), {
+        "closed": lambda args, x, opts: _exact(
+            eval_sample_family(args.n, args.i, x))}),
+}
+
+INDICES = tuple(name for name, target in TARGETS.items() if target.index)
 
 
 @dataclass(frozen=True)
@@ -85,6 +160,14 @@ def emit_table(rows: list[dict], fmt: str, sink: TextIO) -> int:
     return len(rows)
 
 
+def _finite_float(text: str) -> float:
+    """float(text), refusing inf and nan; the type of every float flag."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heunic",
@@ -92,46 +175,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "functions and indices of coincidence.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_series_opts(p):
+    def add_target_args(p, targets):
+        p.add_argument("--target", required=True, choices=targets)
+        for name in dict.fromkeys(f for t in targets for f in TARGETS[t].flags):
+            p.add_argument(f"--{name}",
+                           type=int if name in ("n", "j", "i") else _finite_float)
         p.add_argument("--max-terms", type=int, default=10000)
-        p.add_argument("--rel-tol", type=float, default=1e-15)
+        p.add_argument("--rel-tol", type=_finite_float, default=1e-15)
 
-    def add_point_args(p):
-        p.add_argument("--target", required=True, choices=TARGETS)
-        p.add_argument("--x", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--j", type=int)
-        p.add_argument("--i", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--k", type=int)
+    def add_point_args(p, func):
+        add_target_args(p, tuple(TARGETS))
+        p.add_argument("--x", type=_finite_float)
         p.add_argument("--method")
-        p.add_argument("--q", type=float)
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--p", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--a1", type=float)
-        p.add_argument("--a2", type=float)
-        p.add_argument("--a3", type=float)
-        p.add_argument("--b1", type=float)
-        p.add_argument("--b2", type=float)
-        add_series_opts(p)
+        p.set_defaults(func=func)
 
-    p_eval = sub.add_parser("eval", help="evaluate one function at one point")
-    add_point_args(p_eval)
+    add_point_args(sub.add_parser("eval", help="evaluate one function at one point"),
+                   _cmd_eval)
 
     p_entropy = sub.add_parser("entropy", help="order-2 entropies of an index value")
-    add_point_args(p_entropy)
+    add_point_args(p_entropy, _cmd_entropy)
     p_entropy.add_argument("--kind", required=True, choices=["renyi", "tsallis"])
 
     p_table = sub.add_parser("table", help="evaluate on a grid")
-    add_point_args(p_table)
+    add_point_args(p_table, _cmd_table)
     p_table.add_argument("--grid", required=True,
                          help="start:stop:step (stop inclusive) or x1,x2,...")
     p_table.add_argument("--output", choices=["csv", "json"], default="csv")
@@ -139,130 +205,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crosscheck",
                              help="compare all routes of a target on a grid")
-    p_cross.add_argument("--target", required=True, choices=["F", "G", "K"])
-    p_cross.add_argument("--n", type=int, required=True)
+    add_target_args(p_cross, INDICES)
     p_cross.add_argument("--grid", required=True)
-    p_cross.add_argument("--tol", type=float,
+    p_cross.add_argument("--tol", type=_finite_float,
                          help="fail (exit 1) if the discrepancy exceeds this")
-    add_series_opts(p_cross)
+    p_cross.set_defaults(func=_cmd_crosscheck)
 
     p_verify = sub.add_parser("verify",
                               help="exact identities and the relation suite")
     p_verify.add_argument("--max-n", type=int, default=50)
     p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--tol", type=float, default=1e-7)
+    p_verify.add_argument("--tol", type=_finite_float, default=1e-7)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--mutate-identity", type=int, default=None,
                           metavar="SITE",
                           help="self-test hook: bump one binomial argument "
                                f"of identity A (site 0..{len(IDENTITY_A_SITES) - 1})")
+    p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
-def _missing(args, names: list[str]) -> list[str]:
-    return [f"--{n.replace('_', '-')}" for n in names
-            if getattr(args, n, None) is None]
+def _target(args) -> Target:
+    """The target of args, after checking that its flags are all given."""
+    target = TARGETS[args.target]
+    missing = [f"--{name}" for name in target.flags if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"target {args.target!r} requires {', '.join(missing)}")
+    return target
 
 
-def _evaluate_point(args, x: float, opts: SeriesOptions):
-    """Evaluate args.target at x; returns (value, error_estimate, method, converged)."""
-    t = args.target
-    need = lambda *names: _missing(args, list(names))
-
-    def usage(missing):
-        raise DomainError(f"target {t!r} requires {', '.join(missing)}")
-
-    if t == "heun":
-        missing = need("a", "q", "alpha", "beta", "gamma", "delta")
-        if missing:
-            usage(missing)
-        params = GeneralHeunParams(args.a, args.q, args.alpha, args.beta,
-                                   args.gamma, args.delta)
-        r = eval_heun_local(params, x, opts)
-        return r.value, r.error_estimate, "series", r.converged
-    if t == "confluent":
-        missing = need("p", "gamma", "delta", "alpha", "sigma")
-        if missing:
-            usage(missing)
-        params = ConfluentHeunParams(args.p, args.gamma, args.delta,
-                                     args.alpha, args.sigma)
-        r = eval_confluent_heun(params, x, opts)
-        return r.value, r.error_estimate, "series", r.converged
-    if t == "F":
-        missing = need("n")
-        if missing:
-            usage(missing)
-        method = FMethod(args.method) if args.method else FMethod.ESTABLISHED
-        return coincidence.eval_F(args.n, x, method), 0.0, method.value, True
-    if t == "G":
-        missing = need("n")
-        if missing:
-            usage(missing)
-        method = GMethod(args.method) if args.method else GMethod.ESTABLISHED
-        r = coincidence.eval_G(args.n, x, method, opts)
-        return r.value, r.error_estimate, method.value, r.converged
-    if t == "K":
-        missing = need("n")
-        if missing:
-            usage(missing)
-        r = coincidence.eval_K(args.n, x, opts)
-        return r.value, r.error_estimate, "definitional", r.converged
-    if t == "Kderiv":
-        missing = need("n", "j")
-        if missing:
-            usage(missing)
-        value, err = coincidence.k_derivative_quadrature(args.n, args.j, x)
-        return value, err, "quadrature", True
-    if t == "2f1":
-        missing = need("a", "b", "c")
-        if missing:
-            usage(missing)
-        r = gauss_2f1(Gauss2F1Params(args.a, args.b, args.c), x, opts)
-        return r.value, r.error_estimate, "series", r.converged
-    if t == "3f2":
-        missing = need("a1", "a2", "a3", "b1", "b2")
-        if missing:
-            usage(missing)
-        r = clausen_3f2_unit(Clausen3F2Params(args.a1, args.a2, args.a3,
-                                              args.b1, args.b2), opts)
-        return r.value, r.error_estimate, "accelerated", r.converged
-    if t == "hl-hyp":
-        missing = need("q")
-        if missing:
-            usage(missing)
-        r = eval_hl_hypergeometric(args.q, x, opts)
-        return r.value, r.error_estimate, "hypergeometric", r.converged
-    if t == "family-neg":
-        missing = need("n", "theta", "gamma")
-        if missing:
-            usage(missing)
-        fp = FamilyParamsNeg(args.n, args.theta, args.gamma)
-        return eval_family_negative(fp, x), 0.0, "closed", True
-    if t == "family-pos":
-        missing = need("n", "theta", "gamma")
-        if missing:
-            usage(missing)
-        fp = FamilyParamsPos(args.n, args.theta, int(args.gamma))
-        return eval_family_positive(fp, x), 0.0, "closed", True
-    if t == "sample-family":
-        missing = need("n", "i")
-        if missing:
-            usage(missing)
-        return eval_sample_family(args.n, args.i, x), 0.0, "closed", True
-    raise DomainError(f"unknown target {t!r}")
+def _route(args) -> tuple[str, Route]:
+    """The label and callable of the route that --method selects."""
+    target = _target(args)
+    label = args.method or target.default or next(iter(target.routes))
+    if label not in target.routes:
+        raise DomainError(f"target {args.target!r} has no route {label!r}; "
+                          f"routes: {', '.join(target.routes)}")
+    return label, target.routes[label]
 
 
 def _parse_grid(spec: str) -> list[float]:
     """start:stop:step (stop inclusive) or a comma-separated point list."""
     if ":" not in spec:
         try:
-            return [float(p) for p in spec.split(",") if p.strip()]
+            return [_finite_float(p) for p in spec.split(",") if p.strip()]
         except ValueError:
             raise DomainError(f"cannot parse grid points {spec!r}") from None
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be start:stop:step or a point list")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite_float(p) for p in parts)
     if step <= 0.0:
         raise DomainError("grid step must be positive")
     if stop < start:
@@ -275,41 +267,35 @@ def _series_options(args) -> SeriesOptions:
     return SeriesOptions(max_terms=args.max_terms, rel_tol=args.rel_tol)
 
 
-def _cmd_eval(args, out: TextIO) -> ExitReport:
-    # the unit-argument 3f2 target has no free abscissa
-    if args.x is None and args.target != "3f2":
-        raise DomainError("eval requires --x")
-    opts = _series_options(args)
-    value, _err, _method, converged = _evaluate_point(args, args.x or 0.0, opts)
-    out.write(_fmt(value) + "\n")
+def _cmd_eval(args, out: TextIO, finish=None) -> ExitReport:
+    _label, route = _route(args)
+    if args.x is None and TARGETS[args.target].takes_x:
+        raise DomainError(f"{args.command} requires --x")
+    value, _err, converged = route(args, args.x, _series_options(args))
+    out.write(_fmt(finish(value) if finish else value) + "\n")
     if not converged:
         return ExitReport(3, "evaluation did not converge")
     return ExitReport(0, "ok")
 
 
 def _cmd_entropy(args, out: TextIO) -> ExitReport:
-    if args.x is None:
-        raise DomainError("entropy requires --x")
-    if args.target not in ("F", "G", "K"):
-        raise DomainError("entropy targets are F, G and K")
-    opts = _series_options(args)
-    s, _err, _method, converged = _evaluate_point(args, args.x, opts)
-    value = coincidence.entropy(s, EntropyKind(args.kind))
-    out.write(_fmt(value) + "\n")
-    if not converged:
-        return ExitReport(3, "evaluation did not converge")
-    return ExitReport(0, "ok")
+    """eval of an index of coincidence, then its entropy."""
+    if args.target not in INDICES:
+        raise DomainError(f"entropy targets are {', '.join(INDICES)}")
+    kind = EntropyKind(args.kind)
+    return _cmd_eval(args, out, lambda s: coincidence.entropy(s, kind))
 
 
 def _cmd_table(args, out: TextIO) -> ExitReport:
+    label, route = _route(args)
     opts = _series_options(args)
     rows = []
     all_converged = True
     for x in _parse_grid(args.grid):
-        value, err, method, converged = _evaluate_point(args, x, opts)
+        value, err, converged = route(args, x, opts)
         all_converged = all_converged and converged
         rows.append({"x": x, "value": value, "error_estimate": err,
-                     "method": method})
+                     "method": label})
     if args.path:
         with open(args.path, "w", encoding="utf-8", newline="") as sink:
             count = emit_table(rows, args.output, sink)
@@ -320,41 +306,25 @@ def _cmd_table(args, out: TextIO) -> ExitReport:
     return ExitReport(0, f"{count} rows")
 
 
-_CROSSCHECK_ROUTES = {
-    "F": [m.value for m in FMethod],
-    "G": [m.value for m in GMethod],
-    "K": ["definitional", "quadrature", "confluent-series"],
-}
-
-
-def _crosscheck_value(target: str, route: str, n: int, x: float,
-                      opts: SeriesOptions) -> float:
-    if target == "F":
-        return coincidence.eval_F(n, x, FMethod(route))
-    if target == "G":
-        return coincidence.eval_G(n, x, GMethod(route), opts).value
-    if route == "definitional":
-        return coincidence.eval_K(n, x, opts).value
-    if route == "quadrature":
-        return coincidence.eval_K_derivative(n, 0, x)
-    params = ConfluentHeunParams(n, 1.0, 0.0, 0.5, 2.0 * n)
-    return eval_confluent_heun(params, x, opts).value
-
-
 def _cmd_crosscheck(args, out: TextIO) -> ExitReport:
+    target = _target(args)
     opts = _series_options(args)
-    routes = _CROSSCHECK_ROUTES[args.target]
     worst = 0.0
     worst_x = None
+    all_converged = True
     for x in _parse_grid(args.grid):
-        values = [_crosscheck_value(args.target, r, args.n, x, opts)
-                  for r in routes]
+        results = [route(args, x, opts) for route in target.routes.values()]
+        all_converged = all_converged and all(r[2] for r in results)
+        values = [r[0] for r in results]
         spread = max(values) - min(values)
         if spread > worst:
             worst, worst_x = spread, x
-    out.write(f"target {args.target} n={args.n} routes={','.join(routes)}\n")
+    flags = " ".join(f"{name}={getattr(args, name)}" for name in target.flags)
+    out.write(f"target {args.target} {flags} routes={','.join(target.routes)}\n")
     out.write(f"max discrepancy {_fmt(worst)}"
               + (f" at x={_fmt(worst_x)}\n" if worst_x is not None else "\n"))
+    if not all_converged:
+        return ExitReport(3, "some routes did not converge")
     if args.tol is not None and worst > args.tol:
         return ExitReport(1, "routes disagree beyond tolerance")
     return ExitReport(0, "ok")
@@ -404,21 +374,11 @@ def run(argv: list[str], out: TextIO | None = None,
         code = 0 if exc.code in (0, None) else 2
         return ExitReport(code, "usage")
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, out)
-        if args.command == "entropy":
-            return _cmd_entropy(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        return ExitReport(2, f"unknown command {args.command!r}")
+        return args.func(args, out)
     except (DomainError, UnknownRelationError, ValueError) as exc:
         err.write(f"error: {exc}\n")
         return ExitReport(2, str(exc))
-    except DivergentSeriesError as exc:
+    except ArithmeticError as exc:  # DivergentSeriesError, overflow, ...
         err.write(f"numerical failure: {exc}\n")
         return ExitReport(3, str(exc))
     except OSError as exc:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
+from .series import _is_nonpositive_integer
 
 __all__ = [
     "FamilyParamsNeg",
@@ -61,13 +62,16 @@ class FamilyParamsNeg:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("n must be a nonnegative integer")
-        if self.gamma <= 0 and float(self.gamma).is_integer():
+        if _is_nonpositive_integer(self.gamma):
             raise DomainError("gamma must not be zero or a negative integer")
 
 
 @dataclass(frozen=True)
 class FamilyParamsPos:
-    """(n, theta, gamma) for the positive family; integers 0 < gamma <= n."""
+    """(n, theta, gamma) for the positive family; integers 0 < gamma <= n.
+
+    ``gamma`` may be given as an integral float.
+    """
 
     n: int
     theta: float
@@ -76,7 +80,7 @@ class FamilyParamsPos:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be a positive integer")
-        if not 0 < self.gamma <= self.n:
+        if not (float(self.gamma).is_integer() and 0 < self.gamma <= self.n):
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
 
 
@@ -131,7 +135,7 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
     if base == 0 and exponent < 0:
         raise PoleError("x = 1/2 is a pole for a negative exponent")
     prefactor = _signed_power(base, exponent)
-    body = _family_sum(fp.n - fp.gamma, Fraction(fp.gamma) - Fraction(fp.theta),
+    body = _family_sum(fp.n - int(fp.gamma), Fraction(fp.gamma) - Fraction(fp.theta),
                        Fraction(fp.gamma), xr * xr - xr)
     if isinstance(prefactor, Fraction):
         return float(prefactor * body)

@@ -42,9 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .series import DEFAULT_OPTIONS, EvalResult, SeriesOptions
-
-_EPS = 2.220446049250313e-16
+from .series import _EPS, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
 
 class FMethod(Enum):

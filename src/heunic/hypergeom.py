@@ -24,18 +24,19 @@ from fractions import Fraction
 
 import mpmath
 
+from .closed_forms import pochhammer
 from .errors import DivergentSeriesError, DomainError
-from .series import DEFAULT_OPTIONS, EvalResult, SeriesOptions
-
-_EPS = 2.220446049250313e-16
+from .series import (
+    _EPS,
+    DEFAULT_OPTIONS,
+    EvalResult,
+    SeriesOptions,
+    _is_nonpositive_integer,
+)
 
 # mpmath's working precision is process-global; serialize the one block
 # that changes it so the module stays safe for concurrent callers
 _MP_LOCK = threading.Lock()
-
-
-def _is_nonpositive_integer(value: float) -> bool:
-    return value <= 0.0 and float(value).is_integer()
 
 
 @dataclass(frozen=True)
@@ -242,13 +243,6 @@ def coefficient_a(j: int, k: int) -> Fraction:
     return total / math.factorial(2 * k)
 
 
-def _pochhammer_int(r: int, n: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= r + i
-    return out
-
-
 def gauss_2f1_closed(m: int, k: int, x: float) -> float:
     """Logarithmic closed form of 2F1(m, 1; m+2k+1; x) for 0.1 <= x < 1.
 
@@ -275,7 +269,7 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
     rational = e2k * (1 - xr) ** (2 * k) / fact2k
     rational -= sum((coefficient_a(j, k) * xr**j for j in range(2 * k + 1)),
                     Fraction(0))
-    rational -= sum((xr ** (i + 2 * k + 1) / _pochhammer_int(i + 1, 2 * k + 1)
+    rational -= sum((xr ** (i + 2 * k + 1) / pochhammer(i + 1, 2 * k + 1)
                      for i in range(m - 1)), Fraction(0))
     log_weight = (1 - xr) ** (2 * k) / fact2k
     digits = 40 + math.ceil((m + 2 * k + 1) * math.log10(1.0 / x)) + 2 * k
@@ -284,6 +278,6 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
         bracket = (mpmath.mpf(rational.numerator) / rational.denominator
                    - (mpmath.mpf(log_weight.numerator) / log_weight.denominator)
                    * log_term)
-        value = (_pochhammer_int(m, 2 * k + 1) * bracket
+        value = (pochhammer(m, 2 * k + 1) * bracket
                  * mpmath.power(mpmath.mpf(x), -(m + 2 * k)))
         return float(value)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy.polynomial.polynomial as npoly
 
+from .closed_forms import pochhammer
 from .coincidence import eval_K_derivative
 from .errors import UnknownRelationError
 from .hypergeom import Gauss2F1Params, gauss_2f1
@@ -225,9 +226,9 @@ def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
     product = npoly.polymul(w, f)[:_POLY_TERMS]
     derivative = npoly.polyder(product, m)
     lhs = (1.0 - x) ** (1.0 - a) * npoly.polyval(x, derivative)
-    poch_a = math.prod(a + i for i in range(m))
-    poch_cb = math.prod(c - b + i for i in range(m))
-    poch_c = math.prod(c + i for i in range(m))
+    poch_a = pochhammer(a, m)
+    poch_cb = pochhammer(c - b, m)
+    poch_c = pochhammer(c, m)
     rhs = (-1.0) ** m * poch_a * poch_cb / poch_c \
         * gauss_2f1(Gauss2F1Params(a + m, b, c + m), x, _OPTS).value
     return lhs, rhs

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
-from heunic.cli import ExitReport, emit_table, run
+from heunic.cli import TARGETS, ExitReport, emit_table, run
 
 
 def invoke(argv):
@@ -63,6 +66,104 @@ class TestEval:
                                  "--b2", "2"])
         assert report.code == 0
         assert float(out) == 1.0
+
+
+# one in-domain point per target at which every route converges
+POINTS = {
+    "heun": ["--a", "0.5", "--q", "-1", "--alpha", "-2", "--beta", "1",
+             "--gamma", "1", "--delta", "1", "--x", "0.2"],
+    "confluent": ["--p", "0.5", "--gamma", "1", "--delta", "1", "--alpha", "0.5",
+                  "--sigma", "1", "--x", "0.2"],
+    "F": ["--n", "5", "--x", "0.2"],
+    "G": ["--n", "5", "--x", "0.2"],
+    "K": ["--n", "5", "--x", "0.2"],
+    "Kderiv": ["--n", "3", "--j", "2", "--x", "0.2"],
+    "2f1": ["--a", "0.5", "--b", "1", "--c", "1.5", "--x", "0.2"],
+    "3f2": ["--a1", "0.5", "--a2", "1", "--a3", "1", "--b1", "1.5", "--b2", "3"],
+    "hl-hyp": ["--q", "0.7", "--x", "0.2"],
+    "family-neg": ["--n", "5", "--theta", "0.3", "--gamma", "1.5", "--x", "0.2"],
+    "family-pos": ["--n", "5", "--theta", "0.3", "--gamma", "2", "--x", "0.2"],
+    "sample-family": ["--n", "4", "--i", "2", "--x", "0.2"],
+}
+
+
+class TestTargetTable:
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_no_parameters_names_exactly_the_required_flags(self, target):
+        report, out, err = invoke(["eval", "--target", target])
+        assert report.code == 2
+        assert out == ""
+        assert re.findall(r"--[\w-]+", err) == [f"--{f}" for f in TARGETS[target].flags]
+
+    @pytest.mark.parametrize("target, route", [
+        (target, route) for target in TARGETS for route in TARGETS[target].routes])
+    def test_every_route_evaluates(self, target, route):
+        report, out, _ = invoke(["eval", "--target", target, *POINTS[target],
+                                 "--method", route])
+        assert report.code == 0
+        assert math.isfinite(float(out))
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_method_outside_the_routes_is_usage_error(self, target):
+        report, out, err = invoke(["eval", "--target", target, *POINTS[target],
+                                   "--method", "bogus"])
+        assert report.code == 2
+        assert out == ""
+        assert "bogus" in err
+
+    def test_default_route_is_the_table_default(self):
+        _, plain, _ = invoke(["eval", "--target", "K", *POINTS["K"]])
+        _, chosen, _ = invoke(["eval", "--target", "K", *POINTS["K"],
+                               "--method", TARGETS["K"].default])
+        assert plain == chosen
+
+
+    def test_readme_lists_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        for name, target in TARGETS.items():
+            default = target.default or next(iter(target.routes))
+            routes = [default, *(r for r in target.routes if r != default)]
+            row = re.search(rf"^\| `{re.escape(name)}` \|(.*)\|(.*)\|$", readme, re.M)
+            assert re.findall(r"--\w+", row[1]) == [f"--{f}" for f in target.flags]
+            assert re.findall(r"`([\w-]+)`", row[2]) == routes
+
+
+class TestRobustness:
+    def test_arithmetic_error_is_numerical_exit(self):
+        report, out, err = invoke(["eval", "--target", "F", "--n", "2000",
+                                   "--x", "0.3", "--method", "definitional"])
+        assert report.code == 3
+        assert out == ""
+        assert err.startswith("numerical failure")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--target", "heun", *POINTS["heun"][:-1], "nan"],
+        ["eval", "--target", "Kderiv", "--n", "3", "--j", "2", "--x", "nan"],
+        ["eval", "--target", "K", "--n", "1", "--x", "inf"],
+        ["eval", "--target", "2f1", "--a", "-inf", "--b", "1", "--c", "1.5",
+         "--x", "0.2"],
+        ["eval", "--target", "F", "--n", "2", "--x", "0.5", "--rel-tol", "nan"],
+        ["table", "--target", "K", "--n", "1", "--grid", "0:inf:1"],
+        ["table", "--target", "K", "--n", "1", "--grid", "0.1,nan"],
+        ["crosscheck", "--target", "F", "--n", "3", "--grid", "0:1:0.5",
+         "--tol", "nan"],
+        ["verify", "--max-n", "2", "--trials", "2", "--tol", "inf"],
+    ])
+    def test_non_finite_input_is_usage_error(self, argv):
+        report, out, _ = invoke(argv)
+        assert report.code == 2
+        assert out == ""
+
+    def test_family_pos_rejects_non_integral_gamma(self):
+        argv = ["eval", "--target", "family-pos", "--n", "5", "--theta", "0.3",
+                "--x", "0.2", "--gamma"]
+        report, out, err = invoke([*argv, "2.5"])
+        assert report.code == 2
+        assert out == ""
+        assert "gamma" in err
+        report, out, _ = invoke([*argv, "2"])
+        assert report.code == 0
+        assert out == "3.5682273467580981\n"
 
 
 class TestEntropy:
@@ -162,6 +263,16 @@ class TestCrosscheck:
         report, _, _ = invoke(["crosscheck", "--target", "K", "--n", "2",
                                "--grid", "0:0.9:0.45", "--tol", "1e-18"])
         assert report.code == 1
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-30"]])
+    def test_unconverged_route_is_numerical_exit(self, tol):
+        report, out, _ = invoke(["crosscheck", "--target", "G", "--n", "40",
+                                 "--grid", "0.9", "--max-terms", "4", *tol])
+        assert report.code == 3  # before the --tol gate
+        lines = out.splitlines()
+        assert lines[0] == "target G n=40 routes=definitional,factored,power,established"
+        assert lines[1].startswith("max discrepancy ")
+        assert len(lines) == 2
 
 
 class TestVerify:

@@ -156,6 +156,12 @@ class TestPositiveFamily:
             FamilyParamsPos(3, 1.0, 0)
         with pytest.raises(DomainError):
             FamilyParamsPos(3, 1.0, 4)
+        with pytest.raises(DomainError):
+            FamilyParamsPos(5, 0.3, 2.5)
+
+    def test_integral_float_gamma_is_the_integer(self):
+        assert eval_family_positive(FamilyParamsPos(5, 0.3, 2.0), 0.2) \
+            == eval_family_positive(FamilyParamsPos(5, 0.3, 2), 0.2)
 
 
 class TestSampleFamily:
