@@ -248,9 +248,12 @@ def _parse_grid(spec: str) -> list[float]:
     """start:stop:step (stop inclusive) or a comma-separated point list."""
     if ":" not in spec:
         try:
-            return [_finite_float(p) for p in spec.split(",") if p.strip()]
+            points = [_finite_float(p) for p in spec.split(",") if p.strip()]
         except ValueError:
             raise DomainError(f"cannot parse grid points {spec!r}") from None
+        if not points:
+            raise DomainError(f"grid {spec!r} has no point")
+        return points
     parts = spec.split(":")
     if len(parts) != 3:
         raise DomainError("grid must be start:stop:step or a point list")

@@ -18,11 +18,9 @@ at the origin of the underlying expansion is the unit-argument
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
 
 from .closed_forms import pochhammer
 from .errors import DivergentSeriesError, DomainError
@@ -33,11 +31,6 @@ from .series import (
     SeriesOptions,
     _is_nonpositive_integer,
 )
-
-# mpmath's working precision is process-global; serialize the one block
-# that changes it so the module stays safe for concurrent callers
-_MP_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class Gauss2F1Params:
@@ -273,11 +266,11 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
                      for i in range(m - 1)), Fraction(0))
     log_weight = (1 - xr) ** (2 * k) / fact2k
     digits = 40 + math.ceil((m + 2 * k + 1) * math.log10(1.0 / x)) + 2 * k
-    with _MP_LOCK, mpmath.workdps(digits):
-        log_term = mpmath.log(1 - mpmath.mpf(x))
-        bracket = (mpmath.mpf(rational.numerator) / rational.denominator
-                   - (mpmath.mpf(log_weight.numerator) / log_weight.denominator)
-                   * log_term)
-        value = (pochhammer(m, 2 * k + 1) * bracket
-                 * mpmath.power(mpmath.mpf(x), -(m + 2 * k)))
-        return float(value)
+    # decimal contexts are thread-local, so concurrent callers need no lock
+    with localcontext() as ctx:
+        ctx.prec = digits
+        log_term = (1 - Decimal(x)).ln()
+        bracket = (Decimal(rational.numerator) / rational.denominator
+                   - Decimal(log_weight.numerator) / log_weight.denominator * log_term)
+        x_power = Decimal(xr.denominator ** (m + 2 * k)) / xr.numerator ** (m + 2 * k)
+        return float(pochhammer(m, 2 * k + 1) * bracket * x_power)

@@ -15,8 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy.polynomial.polynomial as npoly
-
 from .closed_forms import pochhammer
 from .coincidence import eval_K_derivative
 from .errors import UnknownRelationError
@@ -206,26 +204,28 @@ def _gauss_series_coeffs(a: float, b: float, c: float, terms: int) -> list[float
     return out
 
 
-def _binomial_series_coeffs(s: float, terms: int) -> list[float]:
-    # (1 - x)^s = sum_j (-s)_j / j! x^j
-    out = [1.0]
-    t = 1.0
-    for j in range(terms - 1):
-        t *= (-s + j) / (j + 1)
-        out.append(t)
-    return out
+def _series_derivative(coeffs: list[float], k: int, x: float) -> float:
+    """k-th derivative of sum_j coeffs[j] x^j, termwise, by Horner."""
+    total = 0.0
+    for j in range(len(coeffs) - 1, k - 1, -1):
+        total = total * x + coeffs[j] * math.perm(j, k)
+    return total
 
 
 def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
                                     x: float) -> tuple[float, float]:
     """Termwise m-th derivative of (1-x)^(a+m-1) 2F1(a,b;c;x), weighted by
     (1-x)^(1-a), against (-1)^m (a)_m (c-b)_m / (c)_m 2F1(a+m, b; c+m; x).
+
+    By Leibniz's rule with s = a+m-1 the left side is
+    sum_i C(m,i) (-1)^i (s-i+1)_i (1-x)^(m-i) f^(m-i)(x), the weight
+    (1-x)^(1-a) folded into the power of (1-x).
     """
     f = _gauss_series_coeffs(a, b, c, _POLY_TERMS)
-    w = _binomial_series_coeffs(a + m - 1.0, _POLY_TERMS)
-    product = npoly.polymul(w, f)[:_POLY_TERMS]
-    derivative = npoly.polyder(product, m)
-    lhs = (1.0 - x) ** (1.0 - a) * npoly.polyval(x, derivative)
+    s = a + m - 1.0
+    lhs = sum(math.comb(m, i) * (-1) ** i * pochhammer(s - i + 1.0, i)
+              * (1.0 - x) ** (m - i) * _series_derivative(f, m - i, x)
+              for i in range(m + 1))
     poch_a = pochhammer(a, m)
     poch_cb = pochhammer(c - b, m)
     poch_c = pochhammer(c, m)

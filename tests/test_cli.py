@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,6 +223,17 @@ class TestTable:
                                "--grid", "a,b"])
         assert report.code == 2
 
+    @pytest.mark.parametrize("command", ["table", "crosscheck"])
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_empty_grid_is_usage_error(self, command, grid):
+        argv = [command, "--target", "F", "--n", "3", "--grid", grid]
+        if command == "crosscheck":
+            argv += ["--tol", "1e-9"]
+        report, out, err = invoke(argv)
+        assert report.code == 2
+        assert out == ""
+        assert "no point" in err
+
 
 class TestEmitTable:
     def test_empty_rows_still_emit_header(self):
@@ -311,3 +325,23 @@ class TestRun:
     def test_help_is_not_an_error(self):
         report, _, _ = invoke(["--help"])
         assert report.code == 0
+
+
+def test_runtime_needs_only_the_standard_library():
+    # -S keeps site-packages off sys.path, so only the stdlib and src/ remain
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from heunic.cli import run\n"
+        "codes = [run(['verify', '--max-n', '8', '--trials', '5']).code,\n"
+        "         run(['crosscheck', '--target', 'K', '--n', '20',\n"
+        "              '--grid', '0.1,0.5', '--tol', '1e-9']).code]\n"
+        "third_party = sorted({'numpy', 'mpmath'} & set(sys.modules))\n"
+        "print(codes, third_party)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verification: PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

@@ -1,7 +1,9 @@
 """Indices of coincidence, their routes, derivatives, and entropies."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from heunic import (
     eval_K_derivative,
     k_derivative_quadrature,
 )
+from heunic.coincidence import _gauss_legendre_quarter
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
 
@@ -155,6 +158,12 @@ class TestK:
         value = eval_K(n, x).value
         assert 0.0 < value <= 1.0 + 1e-12
 
+    def test_cut_off_before_tolerance_is_not_converged(self):
+        r = eval_K(50, 0.5, SeriesOptions(rel_tol=1e-300))
+        assert r.terms_used == 141  # stopped at max(50, 4nx + 40)
+        assert not r.converged
+        assert eval_K(50, 0.5).converged
+
 
 def _rate_series_coefficients(n, terms):
     """Exact power-series coefficients of the rate-family index.
@@ -216,11 +225,60 @@ class TestKDerivative:
         value, err = k_derivative_quadrature(3, 2, 0.4)
         assert err < 1e-10 * max(1.0, abs(value))
 
+    def test_error_estimate_bounds_the_error(self):
+        rng = random.Random(4)
+        with mpmath.workdps(30):
+            for _ in range(40):
+                n, j, x = rng.randint(1, 60), rng.randint(0, 6), rng.uniform(0, 2)
+                value, err = k_derivative_quadrature(n, j, x)
+                ref = 2 / mpmath.pi * 4**j * (-n) ** j * mpmath.quad(
+                    lambda t: mpmath.sin(t) ** (2 * j)
+                    * mpmath.exp(-4 * n * x * mpmath.sin(t) ** 2), [0, mpmath.pi / 2])
+                assert 0.0 < err and abs(value - ref) <= err, (n, j, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             eval_K_derivative(1, 1, -0.1)
         with pytest.raises(DomainError):
             eval_K_derivative(1, -1, 0.1)
+
+
+def _legendre_rule_reference(nodes):
+    """Sorted (sin^2 t, weight) on [0, pi/2] from Newton on P_nodes at 40 digits."""
+    with mpmath.workdps(40):
+        rule = []
+        for i in range(nodes // 2):
+            x = mpmath.cos(mpmath.pi * (i + 0.75) / (nodes + 0.5))
+            for _ in range(50):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, nodes):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                slope = nodes * (p0 - x * p1) / (1 - x * x)
+                step = p1 / slope
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -38:
+                    break
+            # the step is below the working precision: slope is at the root
+            weight = mpmath.pi / 2 / ((1 - x * x) * slope**2)
+            rule += [(mpmath.sin(mpmath.pi / 4 * (1 + x)) ** 2, weight),
+                     (mpmath.sin(mpmath.pi / 4 * (1 - x)) ** 2, weight)]
+        return sorted(rule)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("nodes", [64, 128])
+    def test_against_high_precision_reference(self, nodes):
+        s2, w = _gauss_legendre_quarter(nodes)
+        assert len(s2) == len(w) == nodes
+        for (ref_s2, ref_w), (got_s2, got_w) in zip(
+                _legendre_rule_reference(nodes), sorted(zip(s2, w))):
+            assert abs(got_s2 - ref_s2) <= 1e-14 * ref_s2
+            assert abs(got_w - ref_w) <= 1e-14 * ref_w
+
+    @pytest.mark.parametrize("nodes", [64, 128])
+    def test_weights_sum_to_quarter_period(self, nodes):
+        assert math.fsum(_gauss_legendre_quarter(nodes)[1]) == pytest.approx(
+            math.pi / 2, rel=1e-15)
 
 
 class TestHCFamily:

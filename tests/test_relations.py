@@ -2,6 +2,7 @@
 
 import random
 
+import mpmath
 import pytest
 
 from heunic import (
@@ -68,6 +69,18 @@ class TestGaussWeightedDerivative:
     def test_log_family_instance(self, m):
         lhs, rhs = gauss_weighted_derivative_sides(1.0, 1.0, 2.0, m, 0.3)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_left_side_against_numerical_derivative(self):
+        # the trial distribution of rel_5_2, differentiated by mpmath at 30 digits
+        rng = random.Random(52)
+        with mpmath.workdps(30):
+            for _ in range(40):
+                a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
+                c, m, x = rng.uniform(0.5, 3), rng.choice((1, 2)), rng.uniform(0, 0.45)
+                ref = (1 - mpmath.mpf(x)) ** (1 - a) * mpmath.diff(
+                    lambda t: (1 - t) ** (a + m - 1) * mpmath.hyp2f1(a, b, c, t), x, m)
+                lhs, _ = gauss_weighted_derivative_sides(a, b, c, m, x)
+                assert abs(lhs - ref) <= 1e-12 * max(1.0, abs(ref)), (a, b, c, m, x)
 
 
 class TestReports:
