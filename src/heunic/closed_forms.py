@@ -13,16 +13,18 @@ holds for integer n >= 0.  The positive family (integers 0 < gamma <= n)
 
 follows from the negative one through the (1 - x/a)-power transformation.
 
-Sums are accumulated in exact rational arithmetic (every float is a
-dyadic rational) and rounded once on return, so closed-form routes stay
-bit-honest even where the alternating terms cancel heavily.
+Every float is a dyadic rational p/q, so every closed form at x is one
+integer numerator over one integer denominator.  The integer kernel that
+``coincidence`` and ``hypergeom`` share, ``_horner`` over a coefficient
+table and ``_ratio_horner`` over a term ratio, forms that pair, and the
+route rounds once by the correctly rounded ``int / int``: the float
+nearest the exact value, even where the alternating terms cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .series import _is_nonpositive_integer
@@ -84,42 +86,47 @@ class FamilyParamsPos:
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
 
 
-def _family_sum(terms: int, theta: Fraction, gamma: Fraction, w: Fraction) -> Fraction:
-    """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k w^k, exactly."""
-    total = Fraction(0)
-    wk = Fraction(1)
-    num = Fraction(1)
-    den = Fraction(1)
-    for k in range(terms + 1):
-        total += (4**k * math.comb(terms, k)) * num / den * wk
-        wk *= w
-        num *= theta + k
-        den *= gamma + k
-    return total
+def _horner(coeffs: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
+    """sum_k coeffs[k] (a/b)^k as (numerator, b^deg), by homogeneous Horner."""
+    num, den = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        den *= b
+        num = num * a + c * den
+    return num, den
+
+
+def _ratio_horner(ratios, a: int, b: int) -> tuple[int, int]:
+    """sum_{k=0}^{K} prod_{i<k} (N_i/D_i) (a/b)^k as (numerator, denominator).
+
+    ``ratios`` yields the integer pairs (N_i, D_i) of consecutive terms
+    from the last, i = K-1, down to the first: 1 + r_0 (1 + r_1 (...)) is
+    built from the inside out.  The denominator returned is positive.
+    """
+    num = den = 1
+    for n_i, d_i in ratios:
+        den *= d_i * b
+        num = den + n_i * a * num
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _family_sum(terms: int, theta: tuple[int, int], gamma: tuple[int, int],
+                p: int, q: int) -> tuple[int, int]:
+    """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k (x^2-x)^k at x = p/q.
+
+    theta and gamma are integer ratios (numerator, denominator).
+    """
+    tn, td = theta
+    gn, gd = gamma
+    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k)
+    return _ratio_horner(((4 * (terms - k) * (tn + k * td) * gd, (k + 1) * td * (gn + k * gd))
+                          for k in reversed(range(terms))), p * (p - q), q * q)
 
 
 def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
     """Closed form of the negative family; defined for every real x."""
-    xr = Fraction(x)
-    return float(_family_sum(fp.n, Fraction(fp.theta), Fraction(fp.gamma),
-                             xr * xr - xr))
-
-
-def _signed_power(base: Fraction, exponent: float):
-    """base**exponent staying in the reals, exact when the exponent is integral."""
-    if float(exponent).is_integer():
-        e = int(exponent)
-        if base == 0:
-            if e < 0:
-                raise PoleError("zero base raised to a negative power")
-            return Fraction(1) if e == 0 else Fraction(0)
-        return base**e
-    if base < 0:
-        raise DomainError(
-            "negative base with non-integer exponent has no real value")
-    if base == 0 and exponent < 0:
-        raise PoleError("zero base raised to a negative power")
-    return float(base) ** exponent
+    num, den = _family_sum(fp.n, fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio(),
+                           *x.as_integer_ratio())
+    return num / den
 
 
 def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
@@ -127,27 +134,29 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
 
     Raises PoleError at x = 1/2 when the exponent -2(n - gamma + theta)
     is negative, and DomainError for x > 1/2 when the exponent is not an
-    integer (the real-valued branch does not exist there).
+    integer (the real-valued branch does not exist there).  An integral
+    exponent keeps the prefactor exact; otherwise the two factors are
+    rounded apart and multiplied.
     """
-    xr = Fraction(x)
+    p, q = x.as_integer_ratio()
     exponent = -2.0 * (fp.n - fp.gamma + fp.theta)
-    base = 1 - 2 * xr
-    if base == 0 and exponent < 0:
+    r = q - 2 * p  # 1 - 2x = r/q
+    if r == 0 and exponent < 0:
         raise PoleError("x = 1/2 is a pole for a negative exponent")
-    prefactor = _signed_power(base, exponent)
-    body = _family_sum(fp.n - int(fp.gamma), Fraction(fp.gamma) - Fraction(fp.theta),
-                       Fraction(fp.gamma), xr * xr - xr)
-    if isinstance(prefactor, Fraction):
-        return float(prefactor * body)
-    return prefactor * float(body)
-
-
-def _double_factorial_ratio(i: int) -> Fraction:
-    """(2i)!!/(2i-1)!! with the conventions 0!! = (-1)!! = 1."""
-    if i == 0:
-        return Fraction(1)
-    # (2i)!! = 2^i i!,  (2i-1)!! = (2i)!/(2^i i!)
-    return Fraction(4**i * math.factorial(i) ** 2, math.factorial(2 * i))
+    integral = float(exponent).is_integer()
+    if r < 0 and not integral:
+        raise DomainError(
+            "negative base with non-integer exponent has no real value")
+    gamma = int(fp.gamma)
+    tn, td = fp.theta.as_integer_ratio()
+    num, den = _family_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1), p, q)
+    if not integral:
+        return (r / q) ** exponent * (num / den)
+    e = int(exponent)
+    if e >= 0:
+        return (num * r**e) / (den * q**e)
+    num, den = num * q**-e, den * r**-e
+    return num / den if den > 0 else -num / -den
 
 
 def eval_sample_family(n: int, i: int, x: float) -> float:
@@ -162,13 +171,11 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
         raise DomainError("n must be a positive integer")
     if not 0 <= i <= n:
         raise DomainError("i must satisfy 0 <= i <= n")
-    xr = Fraction(x)
-    u = (xr - Fraction(1, 2)) ** 2
-    total = Fraction(0)
-    uj = Fraction(1)
-    for j in range(n - i + 1):
-        total += (4**j * math.comb(i + j, i) * math.comb(2 * i + 2 * j, i + j)
-                  * math.comb(2 * n - 2 * i - 2 * j, n - i - j)) * uj
-        uj *= u
-    scale = _double_factorial_ratio(i) / (4**n * math.comb(n, i))
-    return float(scale * total)
+    p, q = x.as_integer_ratio()
+    m = n - i
+    # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}; consecutive terms have the
+    # ratio (2i+2j+1)(m-j) / ((j+1)(2m-2j-1))
+    num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
+                              for j in reversed(range(m))), (2 * p - q) ** 2, q * q)
+    # the j = 0 term C(2i,i) C(2m,m) times the scale, (2i)!!/(2i-1)!! = 4^i / C(2i,i)
+    return (math.comb(2 * m, m) * num) / (4**m * math.comb(n, i) * den)

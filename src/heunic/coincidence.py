@@ -22,9 +22,11 @@ independent evaluation route so they can be cross-validated:
                        sum_i (-1/4)^i C(n-j-1,i) C(2i+2j,i+j)
     G established  sum_j (1+2x)^{2j-2n+1} 4^{1-n} C(2n-2j-2,n-j-1) C(2j,j)
 
-Closed-form routes run in exact rational arithmetic and round once.
-K_n and its derivatives are also available through the integral
-representation
+With x = p/q, each closed form is one integer numerator over one integer
+denominator, formed by the exact integer kernel of ``closed_forms`` and
+rounded once.  G_n is (1+2x)^{1-2n} times the F sums of order n-1 taken
+at x^2 + x or (1+2x)^2 in place of x^2 - x or (1-2x)^2.  K_n and its
+derivatives are also available through the integral representation
 
     K_n^(j)(x) = (2/pi) 4^j (-n)^j Int_0^{pi/2} (sin t)^{2j} e^{-4nx sin^2 t} dt,
 
@@ -37,8 +39,8 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from fractions import Fraction
 
+from .closed_forms import _horner, _ratio_horner
 from .errors import DomainError, PoleError
 from .series import _EPS, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
@@ -69,24 +71,60 @@ def _require_order(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Closed-form sums of order m, each as (numerator, denominator) of a
+# polynomial in a/b: a/b is x^2 - x or (1-2x)^2 for F_m, and x^2 + x or
+# (1+2x)^2 for G_{m+1}.  Coefficient tables are cached per order.
+
+
+@functools.lru_cache(maxsize=32)
+def _power_coeffs(m: int) -> tuple[int, ...]:
+    """C(m,j) 4^(m-j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j), for j = 0..m.
+
+    The alternating quarter sum is scaled by 4^(m-j) to an integer.
+    """
+    central = [math.comb(2 * i, i) for i in range(m + 1)]
+    return tuple(math.comb(m, j) * sum((-1) ** i * 4 ** (m - j - i) * math.comb(m - j, i)
+                                       * central[i + j] for i in range(m - j + 1))
+                 for j in range(m + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _expanded_coeffs(m: int) -> tuple[int, ...]:
+    """4^k sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j), for k = 0..m."""
+    outer = [math.comb(2 * j, j) * math.comb(2 * m - 2 * j, m - j) for j in range(m + 1)]
+    return tuple(4**k * sum(math.comb(j, k) * outer[j] for j in range(k, m + 1))
+                 for k in range(m + 1))
+
+
+def _factored(m: int, a: int, b: int) -> tuple[int, int]:
+    """sum_k C(m,k) C(2k,k) (a/b)^k."""
+    # consecutive terms have the ratio 2(m-k)(2k+1) / (k+1)^2
+    return _ratio_horner(((2 * (m - k) * (2 * k + 1), (k + 1) ** 2)
+                          for k in reversed(range(m))), a, b)
+
+
+def _power(m: int, a: int, b: int) -> tuple[int, int]:
+    """sum_j (a/b)^j 4^-j C(m,j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j)."""
+    num, den = _horner(_power_coeffs(m), a, b)
+    return num, 4**m * den
+
+
+def _established(m: int, a: int, b: int) -> tuple[int, int]:
+    """sum_j (a/b)^j 4^-m C(2j,j) C(2m-2j,m-j)."""
+    # consecutive terms have the ratio (2j+1)(m-j) / ((j+1)(2m-2j-1))
+    num, den = _ratio_horner((((2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
+                              for j in reversed(range(m))), a, b)
+    return math.comb(2 * m, m) * num, 4**m * den
+
+
+def _expanded(m: int, a: int, b: int) -> tuple[int, int]:
+    """sum_k (a/b)^k 4^(k-m) sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j)."""
+    num, den = _horner(_expanded_coeffs(m), a, b)
+    return num, 4**m * den
+
+
+# ---------------------------------------------------------------------------
 # F_n routes
-
-
-@functools.lru_cache(maxsize=None)
-def _alternating_quarter_sum(m: int, j: int) -> Fraction:
-    """sum_{i=0}^{m} (-1/4)^i C(m,i) C(2i+2j,i+j), exact."""
-    total = Fraction(0)
-    for i in range(m + 1):
-        total += Fraction((-1) ** i * math.comb(m, i) * math.comb(2 * i + 2 * j, i + j),
-                          4**i)
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _stacked_binomial_sum(n: int, k: int) -> int:
-    """sum_{j=k}^{n} C(j,k) C(2j,j) C(2n-2j,n-j), exact."""
-    return sum(math.comb(j, k) * math.comb(2 * j, j) * math.comb(2 * n - 2 * j, n - j)
-               for j in range(k, n + 1))
 
 
 def _f_definitional(n: int, x: float) -> float:
@@ -95,39 +133,6 @@ def _f_definitional(n: int, x: float) -> float:
     total = 0.0
     for k in range(n + 1):
         total += (math.comb(n, k) * x**k * (1.0 - x) ** (n - k)) ** 2
-    return total
-
-
-def _f_factored(n: int, w: Fraction) -> Fraction:
-    total, wk = Fraction(0), Fraction(1)
-    for k in range(n + 1):
-        total += math.comb(n, k) * math.comb(2 * k, k) * wk
-        wk *= w
-    return total
-
-
-def _f_power(n: int, s: Fraction) -> Fraction:
-    # s = (1-2x)^2
-    total, sj = Fraction(0), Fraction(1)
-    for j in range(n + 1):
-        total += sj * Fraction(math.comb(n, j), 4**j) * _alternating_quarter_sum(n - j, j)
-        sj *= s
-    return total
-
-
-def _f_established(n: int, s: Fraction) -> Fraction:
-    total, sj = Fraction(0), Fraction(1)
-    for j in range(n + 1):
-        total += sj * Fraction(math.comb(2 * j, j) * math.comb(2 * n - 2 * j, n - j), 4**n)
-        sj *= s
-    return total
-
-
-def _f_expanded(n: int, w: Fraction) -> Fraction:
-    total, wk = Fraction(0), Fraction(1)
-    for k in range(n + 1):
-        total += wk * Fraction(4**k, 4**n) * _stacked_binomial_sum(n, k)
-        wk *= w
     return total
 
 
@@ -140,16 +145,19 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
     _require_order(n)
     if method is FMethod.DEFINITIONAL:
         return _f_definitional(n, x)
-    xr = Fraction(x)
+    p, q = x.as_integer_ratio()
+    w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
     if method is FMethod.FACTORED:
-        return float(_f_factored(n, xr * xr - xr))
-    if method is FMethod.POWER:
-        return float(_f_power(n, (1 - 2 * xr) ** 2))
-    if method is FMethod.ESTABLISHED:
-        return float(_f_established(n, (1 - 2 * xr) ** 2))
-    if method is FMethod.EXPANDED:
-        return float(_f_expanded(n, xr * xr - xr))
-    raise DomainError(f"unknown F method {method!r}")
+        num, den = _factored(n, w, q * q)
+    elif method is FMethod.POWER:
+        num, den = _power(n, s, q * q)
+    elif method is FMethod.ESTABLISHED:
+        num, den = _established(n, s, q * q)
+    elif method is FMethod.EXPANDED:
+        num, den = _expanded(n, w, q * q)
+    else:
+        raise DomainError(f"unknown F method {method!r}")
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +187,6 @@ def _g_definitional(n: int, x: float, opts: SeriesOptions) -> EvalResult:
     return EvalResult(total, k + 1, False, tail)
 
 
-def _g_pole_guard(x: float) -> Fraction:
-    xr = Fraction(x)
-    if 1 + 2 * xr == 0:
-        raise PoleError("x = -1/2 is a pole of the closed forms for G")
-    return xr
-
-
-def _g_factored(n: int, xr: Fraction) -> Fraction:
-    v = xr * xr + xr
-    total, vk = Fraction(0), Fraction(1)
-    for k in range(n):
-        total += math.comb(n - 1, k) * math.comb(2 * k, k) * vk
-        vk *= v
-    return (1 + 2 * xr) ** (1 - 2 * n) * total
-
-
-def _g_power(n: int, xr: Fraction) -> Fraction:
-    t = (1 + 2 * xr) ** 2
-    total, tj = Fraction(0), Fraction(1)
-    for j in range(n):
-        total += tj * Fraction(math.comb(n - 1, j), 4**j) \
-            * _alternating_quarter_sum(n - 1 - j, j)
-        tj *= t
-    return (1 + 2 * xr) ** (1 - 2 * n) * total
-
-
-def _g_established(n: int, xr: Fraction) -> Fraction:
-    t = (1 + 2 * xr) ** 2
-    total, tj = Fraction(0), Fraction(1)
-    for j in range(n):
-        total += tj * Fraction(math.comb(2 * n - 2 * j - 2, n - j - 1)
-                               * math.comb(2 * j, j), 4 ** (n - 1))
-        tj *= t
-    return (1 + 2 * xr) ** (1 - 2 * n) * total
-
-
 def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
            opts: SeriesOptions | None = None) -> EvalResult:
     """Index of coincidence G_n(x) by the selected route.
@@ -227,16 +199,22 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     opts = opts or DEFAULT_OPTIONS
     if method is GMethod.DEFINITIONAL:
         return _g_definitional(n, x, opts)
-    xr = _g_pole_guard(x)
+    p, q = x.as_integer_ratio()
+    r = q + 2 * p  # 1 + 2x = r/q
+    if r == 0:
+        raise PoleError("x = -1/2 is a pole of the closed forms for G")
+    v, t = p * (p + q), r * r  # x^2 + x and (1+2x)^2, over q^2
     if method is GMethod.FACTORED:
-        value = _g_factored(n, xr)
+        num, den = _factored(n - 1, v, q * q)
     elif method is GMethod.POWER:
-        value = _g_power(n, xr)
+        num, den = _power(n - 1, t, q * q)
     elif method is GMethod.ESTABLISHED:
-        value = _g_established(n, xr)
+        num, den = _established(n - 1, t, q * q)
     else:
         raise DomainError(f"unknown G method {method!r}")
-    return EvalResult(float(value), n, True, 0.0)
+    # times (1+2x)^(1-2n) = (q/r)^(2n-1), an odd power
+    num, den = num * q ** (2 * n - 1), den * abs(r) ** (2 * n - 1)
+    return EvalResult((num if r > 0 else -num) / den, n, True, 0.0)
 
 
 # ---------------------------------------------------------------------------

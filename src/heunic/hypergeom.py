@@ -17,12 +17,13 @@ at the origin of the underlying expansion is the unit-argument
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .closed_forms import pochhammer
+from .closed_forms import _horner, pochhammer
 from .errors import DivergentSeriesError, DomainError
 from .series import (
     _EPS,
@@ -236,6 +237,24 @@ def coefficient_a(j: int, k: int) -> Fraction:
     return total / math.factorial(2 * k)
 
 
+@functools.lru_cache(maxsize=64)
+def _closed_form_rational(m: int, k: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients and common denominator of the rational part of
+    the bracket in ``gauss_2f1_closed``, a polynomial in x.
+
+    The e_{2k} part of each a_{jk} cancels the x^j term of
+    (1-x)^{2k} e_{2k}/(2k)!, leaving -(1/(2k)!) sum_{i<j} C(2k,i) (-1)^i/(j-i)
+    for j <= 2k.
+    """
+    fact2k = math.factorial(2 * k)
+    tail = [pochhammer(i + 1, 2 * k + 1) for i in range(m - 1)]
+    den = math.lcm(fact2k * math.lcm(*range(1, 2 * k + 1)), *tail)
+    head = [-sum((-1) ** i * math.comb(2 * k, i) * (den // (fact2k * (j - i)))
+                 for i in range(j))
+            for j in range(2 * k + 1)]
+    return tuple(head + [-(den // t) for t in tail]), den
+
+
 def gauss_2f1_closed(m: int, k: int, x: float) -> float:
     """Logarithmic closed form of 2F1(m, 1; m+2k+1; x) for 0.1 <= x < 1.
 
@@ -247,8 +266,9 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
 
     The bracket is a difference of nearly equal quantities: it shrinks
     like x^{m+2k} while its pieces stay O(1), so the rational part is
-    kept exact and the logarithm is taken with enough working digits to
-    survive the cancellation.  Below x = 0.1 the cancellation outgrows
+    kept exact, as an integer polynomial in x = p/q over a common
+    denominator, and the logarithm is taken with enough working digits
+    to survive the cancellation.  Below x = 0.1 the cancellation outgrows
     any reasonable working precision budget for large m + 2k and the
     direct series must be used instead, so the closed form refuses.
     """
@@ -256,21 +276,16 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
         raise DomainError("need m >= 1 and k >= 0")
     if not 0.1 <= x < 1.0:
         raise DomainError("closed form is restricted to 0.1 <= x < 1")
-    xr = Fraction(x)
-    fact2k = math.factorial(2 * k)
-    e2k = harmonic(2 * k)
-    rational = e2k * (1 - xr) ** (2 * k) / fact2k
-    rational -= sum((coefficient_a(j, k) * xr**j for j in range(2 * k + 1)),
-                    Fraction(0))
-    rational -= sum((xr ** (i + 2 * k + 1) / pochhammer(i + 1, 2 * k + 1)
-                     for i in range(m - 1)), Fraction(0))
-    log_weight = (1 - xr) ** (2 * k) / fact2k
+    p, q = x.as_integer_ratio()
+    coeffs, den = _closed_form_rational(m, k)
+    num, scale = _horner(coeffs, p, q)
     digits = 40 + math.ceil((m + 2 * k + 1) * math.log10(1.0 / x)) + 2 * k
     # decimal contexts are thread-local, so concurrent callers need no lock
     with localcontext() as ctx:
         ctx.prec = digits
         log_term = (1 - Decimal(x)).ln()
-        bracket = (Decimal(rational.numerator) / rational.denominator
-                   - Decimal(log_weight.numerator) / log_weight.denominator * log_term)
-        x_power = Decimal(xr.denominator ** (m + 2 * k)) / xr.numerator ** (m + 2 * k)
+        bracket = (Decimal(num) / (den * scale)
+                   - Decimal((q - p) ** (2 * k)) / (q ** (2 * k) * math.factorial(2 * k))
+                   * log_term)
+        x_power = Decimal(q ** (m + 2 * k)) / p ** (m + 2 * k)
         return float(pochhammer(m, 2 * k + 1) * bracket * x_power)

@@ -7,10 +7,12 @@ Identity B:
     sum_{i=0}^{n-j} (-1/4)^i C(n-j,i) C(2i+2j,i+j)
         = 4^(j-n) C(2j,j) C(2n-2j,n-j) / C(n,j)
 
-Both sides are computed in exact arithmetic (Python integers and
-Fractions; powers of 1/4 are kept exact) and compared for equality, so
-a pass carries no floating-point caveat.  Every binomial argument can be
-perturbed through a ``Mutation`` to prove the checks are not vacuous.
+Both sides are computed in Python integers and compared exactly, so a
+pass carries no floating-point caveat.  Identity B's left side is
+summed scaled by 4^(n-j) and compared with the right side by
+cross-multiplication; both sides are reported as Fractions.  Every
+binomial argument can be perturbed through a ``Mutation`` to prove the
+checks are not vacuous.
 """
 
 from __future__ import annotations
@@ -74,12 +76,17 @@ IDENTITY_B_SITES = (
 )
 
 
-def _bump(mutation: Mutation | None, site: int) -> tuple[int, int]:
-    """(upper delta, lower delta) contributed by the mutation at this slot pair."""
-    if mutation is None:
-        return 0, 0
-    return (mutation.delta if mutation.site == site else 0,
-            mutation.delta if mutation.site == site + 1 else 0)
+def _binomial(mutation: Mutation | None, site: int, upper: int, lower: int) -> int:
+    """C(upper, lower), the mutation applied if it targets this binomial.
+
+    A binomial occupies the sites ``site`` (upper) and ``site + 1`` (lower).
+    """
+    if mutation is not None:
+        if mutation.site == site:
+            upper += mutation.delta
+        elif mutation.site == site + 1:
+            lower += mutation.delta
+    return binomial_exact(upper, lower)
 
 
 def check_identity_A(n: int, k: int,
@@ -89,17 +96,10 @@ def check_identity_A(n: int, k: int,
         raise DomainError("need 0 <= k <= n")
     if mutation is not None and not 0 <= mutation.site < len(IDENTITY_A_SITES):
         raise DomainError("unknown mutation site for identity A")
-    d0 = _bump(mutation, 0)
-    d2 = _bump(mutation, 2)
-    d4 = _bump(mutation, 4)
-    d6 = _bump(mutation, 6)
-    d8 = _bump(mutation, 8)
-    lhs = sum(binomial_exact(j + d0[0], k + d0[1])
-              * binomial_exact(2 * j + d2[0], j + d2[1])
-              * binomial_exact(2 * n - 2 * j + d4[0], n - j + d4[1])
+    lhs = sum(_binomial(mutation, 0, j, k) * _binomial(mutation, 2, 2 * j, j)
+              * _binomial(mutation, 4, 2 * n - 2 * j, n - j)
               for j in range(k, n + 1))
-    rhs = 4 ** (n - k) * binomial_exact(n + d6[0], k + d6[1]) \
-        * binomial_exact(2 * k + d8[0], k + d8[1])
+    rhs = 4 ** (n - k) * _binomial(mutation, 6, n, k) * _binomial(mutation, 8, 2 * k, k)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -110,19 +110,14 @@ def check_identity_B(n: int, j: int,
         raise DomainError("need 0 <= j <= n")
     if mutation is not None and not 0 <= mutation.site < len(IDENTITY_B_SITES):
         raise DomainError("unknown mutation site for identity B")
-    d0 = _bump(mutation, 0)
-    d2 = _bump(mutation, 2)
-    d4 = _bump(mutation, 4)
-    d6 = _bump(mutation, 6)
-    d8 = _bump(mutation, 8)
-    lhs = sum((Fraction(-1, 4) ** i
-               * binomial_exact(n - j + d0[0], i + d0[1])
-               * binomial_exact(2 * i + 2 * j + d2[0], i + j + d2[1])
-               for i in range(n - j + 1)), Fraction(0))
-    denominator = binomial_exact(n + d8[0], j + d8[1])
+    m = n - j
+    # the left side times 4^m
+    lhs = sum((-1) ** i * 4 ** (m - i) * _binomial(mutation, 0, m, i)
+              * _binomial(mutation, 2, 2 * i + 2 * j, i + j)
+              for i in range(m + 1))
+    denominator = _binomial(mutation, 8, n, j)
     if denominator == 0:
-        return IdentityCheck(False, lhs, None)
-    rhs = Fraction(binomial_exact(2 * j + d4[0], j + d4[1])
-                   * binomial_exact(2 * n - 2 * j + d6[0], n - j + d6[1]),
-                   4 ** (n - j) * denominator)
-    return IdentityCheck(lhs == rhs, lhs, rhs)
+        return IdentityCheck(False, Fraction(lhs, 4**m), None)
+    rhs = _binomial(mutation, 4, 2 * j, j) * _binomial(mutation, 6, 2 * n - 2 * j, n - j)
+    return IdentityCheck(lhs * denominator == rhs, Fraction(lhs, 4**m),
+                         Fraction(rhs, 4**m * denominator))
