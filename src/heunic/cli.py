@@ -334,26 +334,22 @@ def _cmd_crosscheck(args, out: TextIO) -> ExitReport:
 
 
 def _cmd_verify(args, out: TextIO) -> ExitReport:
+    if args.max_n < 0:
+        raise DomainError("--max-n must be nonnegative")
+    if args.trials < 1:
+        raise DomainError("--trials must be positive")
+    mutation = None if args.mutate_identity is None else Mutation(args.mutate_identity, 1)
     ok = True
-    mutation = None
-    if args.mutate_identity is not None:
-        mutation = Mutation(args.mutate_identity, 1)
-    bad_a = [(n, k) for n in range(args.max_n + 1) for k in range(n + 1)
-             if not check_identity_A(n, k, mutation).passed]
-    if bad_a:
-        ok = False
-        n, k = bad_a[0]
-        out.write(f"identity A: FAIL ({len(bad_a)} pairs, first at n={n} k={k})\n")
-    else:
-        out.write(f"identity A: PASS (all 0 <= k <= n <= {args.max_n})\n")
-    bad_b = [(n, j) for n in range(args.max_n + 1) for j in range(n + 1)
-             if not check_identity_B(n, j).passed]
-    if bad_b:
-        ok = False
-        n, j = bad_b[0]
-        out.write(f"identity B: FAIL ({len(bad_b)} pairs, first at n={n} j={j})\n")
-    else:
-        out.write(f"identity B: PASS (all 0 <= j <= n <= {args.max_n})\n")
+    for name, check, index, mutate in (("A", check_identity_A, "k", mutation),
+                                       ("B", check_identity_B, "j", None)):
+        bad = [(n, i) for n in range(args.max_n + 1) for i in range(n + 1)
+               if not check(n, i, mutate).passed]
+        if bad:
+            ok = False
+            n, i = bad[0]
+            out.write(f"identity {name}: FAIL ({len(bad)} pairs, first at n={n} {index}={i})\n")
+        else:
+            out.write(f"identity {name}: PASS (all 0 <= {index} <= n <= {args.max_n})\n")
     for relation_id in relations.RELATION_IDS:
         report = relations.check_relation(relation_id, trials=args.trials,
                                           tol=args.tol, seed=args.seed)

@@ -86,17 +86,21 @@ class FamilyParamsPos:
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
 
 
-def _horner(coeffs: tuple[int, ...], a: int, b: int) -> tuple[int, int]:
-    """sum_k coeffs[k] (a/b)^k as (numerator, b^deg), by homogeneous Horner."""
-    num, den = coeffs[-1], 1
+def _horner(coeffs: tuple[int, ...], a: int, e: int) -> tuple[int, int]:
+    """sum_k coeffs[k] (a/2^e)^k as (numerator, 2^(e*deg)), by homogeneous Horner.
+
+    Every float denominator is a power of two, so the kernels take the
+    exponent e and shift where a general b would multiply.
+    """
+    num, shift = coeffs[-1], 0
     for c in coeffs[-2::-1]:
-        den *= b
-        num = num * a + c * den
-    return num, den
+        shift += e
+        num = num * a + (c << shift)
+    return num, 1 << shift
 
 
-def _ratio_horner(ratios, a: int, b: int) -> tuple[int, int]:
-    """sum_{k=0}^{K} prod_{i<k} (N_i/D_i) (a/b)^k as (numerator, denominator).
+def _ratio_horner(ratios, a: int, e: int) -> tuple[int, int]:
+    """sum_{k=0}^{K} prod_{i<k} (N_i/D_i) (a/2^e)^k as (numerator, denominator).
 
     ``ratios`` yields the integer pairs (N_i, D_i) of consecutive terms
     from the last, i = K-1, down to the first: 1 + r_0 (1 + r_1 (...)) is
@@ -104,7 +108,7 @@ def _ratio_horner(ratios, a: int, b: int) -> tuple[int, int]:
     """
     num = den = 1
     for n_i, d_i in ratios:
-        den *= d_i * b
+        den = (den * d_i) << e
         num = den + n_i * a * num
     return (num, den) if den > 0 else (-num, -den)
 
@@ -117,9 +121,9 @@ def _family_sum(terms: int, theta: tuple[int, int], gamma: tuple[int, int],
     """
     tn, td = theta
     gn, gd = gamma
-    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k)
+    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k); q^2 = 2^(2 q.bit_length() - 2)
     return _ratio_horner(((4 * (terms - k) * (tn + k * td) * gd, (k + 1) * td * (gn + k * gd))
-                          for k in reversed(range(terms))), p * (p - q), q * q)
+                          for k in reversed(range(terms))), p * (p - q), 2 * q.bit_length() - 2)
 
 
 def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
@@ -176,6 +180,7 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
     # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}; consecutive terms have the
     # ratio (2i+2j+1)(m-j) / ((j+1)(2m-2j-1))
     num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
-                              for j in reversed(range(m))), (2 * p - q) ** 2, q * q)
+                              for j in reversed(range(m))), (2 * p - q) ** 2,
+                             2 * q.bit_length() - 2)
     # the j = 0 term C(2i,i) C(2m,m) times the scale, (2i)!!/(2i-1)!! = 4^i / C(2i,i)
     return (math.comb(2 * m, m) * num) / (4**m * math.comb(n, i) * den)

@@ -96,30 +96,30 @@ def _expanded_coeffs(m: int) -> tuple[int, ...]:
                  for k in range(m + 1))
 
 
-def _factored(m: int, a: int, b: int) -> tuple[int, int]:
-    """sum_k C(m,k) C(2k,k) (a/b)^k."""
+def _factored(m: int, a: int, e: int) -> tuple[int, int]:
+    """sum_k C(m,k) C(2k,k) (a/2^e)^k."""
     # consecutive terms have the ratio 2(m-k)(2k+1) / (k+1)^2
     return _ratio_horner(((2 * (m - k) * (2 * k + 1), (k + 1) ** 2)
-                          for k in reversed(range(m))), a, b)
+                          for k in reversed(range(m))), a, e)
 
 
-def _power(m: int, a: int, b: int) -> tuple[int, int]:
-    """sum_j (a/b)^j 4^-j C(m,j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j)."""
-    num, den = _horner(_power_coeffs(m), a, b)
+def _power(m: int, a: int, e: int) -> tuple[int, int]:
+    """sum_j (a/2^e)^j 4^-j C(m,j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j)."""
+    num, den = _horner(_power_coeffs(m), a, e)
     return num, 4**m * den
 
 
-def _established(m: int, a: int, b: int) -> tuple[int, int]:
-    """sum_j (a/b)^j 4^-m C(2j,j) C(2m-2j,m-j)."""
+def _established(m: int, a: int, e: int) -> tuple[int, int]:
+    """sum_j (a/2^e)^j 4^-m C(2j,j) C(2m-2j,m-j)."""
     # consecutive terms have the ratio (2j+1)(m-j) / ((j+1)(2m-2j-1))
     num, den = _ratio_horner((((2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
-                              for j in reversed(range(m))), a, b)
+                              for j in reversed(range(m))), a, e)
     return math.comb(2 * m, m) * num, 4**m * den
 
 
-def _expanded(m: int, a: int, b: int) -> tuple[int, int]:
-    """sum_k (a/b)^k 4^(k-m) sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j)."""
-    num, den = _horner(_expanded_coeffs(m), a, b)
+def _expanded(m: int, a: int, e: int) -> tuple[int, int]:
+    """sum_k (a/2^e)^k 4^(k-m) sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j)."""
+    num, den = _horner(_expanded_coeffs(m), a, e)
     return num, 4**m * den
 
 
@@ -147,14 +147,15 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
         return _f_definitional(n, x)
     p, q = x.as_integer_ratio()
     w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
+    e = 2 * q.bit_length() - 2  # q^2 = 2^e
     if method is FMethod.FACTORED:
-        num, den = _factored(n, w, q * q)
+        num, den = _factored(n, w, e)
     elif method is FMethod.POWER:
-        num, den = _power(n, s, q * q)
+        num, den = _power(n, s, e)
     elif method is FMethod.ESTABLISHED:
-        num, den = _established(n, s, q * q)
+        num, den = _established(n, s, e)
     elif method is FMethod.EXPANDED:
-        num, den = _expanded(n, w, q * q)
+        num, den = _expanded(n, w, e)
     else:
         raise DomainError(f"unknown F method {method!r}")
     return num / den
@@ -204,12 +205,13 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     if r == 0:
         raise PoleError("x = -1/2 is a pole of the closed forms for G")
     v, t = p * (p + q), r * r  # x^2 + x and (1+2x)^2, over q^2
+    e = 2 * q.bit_length() - 2  # q^2 = 2^e
     if method is GMethod.FACTORED:
-        num, den = _factored(n - 1, v, q * q)
+        num, den = _factored(n - 1, v, e)
     elif method is GMethod.POWER:
-        num, den = _power(n - 1, t, q * q)
+        num, den = _power(n - 1, t, e)
     elif method is GMethod.ESTABLISHED:
-        num, den = _established(n - 1, t, q * q)
+        num, den = _established(n - 1, t, e)
     else:
         raise DomainError(f"unknown G method {method!r}")
     # times (1+2x)^(1-2n) = (q/r)^(2n-1), an odd power

@@ -112,10 +112,14 @@ def gauss_2f1(p: Gauss2F1Params, x: float,
 def _aitken_checkpoints(checkpoints: list[float]) -> tuple[float, float]:
     """Iterated Aitken delta-squared limit of geometrically indexed sums.
 
-    Partial sums recorded at doubling indices converge like a mixture of
-    geometric sequences in the checkpoint counter, which the repeated
-    delta-squared transform strips one component at a time.  Returns the
-    best estimate and the spread of the final transforms.
+    The repeated delta-squared transform assumes that partial sums
+    recorded at doubling indices converge like a mixture of geometric
+    sequences in the checkpoint counter, and strips one component at a
+    time.  That holds only roughly for slowly decaying terms: at k^-2
+    (unit excess 1) the transforms do not settle to rel_tol within 10000
+    terms, and most of the paper's family 3F2(1/2, q, q; q+1/2, q+1; 1)
+    ends unconverged (ROADMAP item 2).  Returns the best estimate and
+    the spread of the final transforms.
     """
     row = list(checkpoints)
     best = row[-1]
@@ -278,7 +282,7 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
         raise DomainError("closed form is restricted to 0.1 <= x < 1")
     p, q = x.as_integer_ratio()
     coeffs, den = _closed_form_rational(m, k)
-    num, scale = _horner(coeffs, p, q)
+    num, scale = _horner(coeffs, p, q.bit_length() - 1)
     digits = 40 + math.ceil((m + 2 * k + 1) * math.log10(1.0 / x)) + 2 * k
     # decimal contexts are thread-local, so concurrent callers need no lock
     with localcontext() as ctx:

@@ -6,7 +6,8 @@ sides come from termwise-differentiated series (exact for polynomial
 truncations); the right-hand sides are evaluated independently.  A
 ``RelationReport`` records the worst absolute residual over seeded
 random parameter draws, always sampled inside the safe disk of the
-series engine.
+series engine.  ``_RELATIONS`` declares each relation once, as its
+sampler and its sides function.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .closed_forms import pochhammer
 from .coincidence import eval_K_derivative
@@ -32,21 +34,6 @@ from .series import (
 
 # tight truncation for the checks themselves
 _OPTS = SeriesOptions(max_terms=6000, rel_tol=5e-15)
-
-RELATION_IDS = (
-    "rel_2_3",
-    "rel_2_4",
-    "rel_2_5",
-    "rel_2_6",
-    "rel_5_1",
-    "rel_4_1",
-    "rel_4_2",
-    "rel_4_3",
-    "rel_1_9",
-    "rel_5_2",
-    "rel_4_1_eq_4_2",
-)
-
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -137,6 +124,17 @@ def derivative_half_sides(alpha: float, beta: float, gamma: float, x: float,
     return lhs, prefactor * eval_heun_local(raised, x, _OPTS).value
 
 
+def _raised_confluent(p: float, gamma: float,
+                      alpha: float) -> tuple[ConfluentHeunParams, ConfluentHeunParams]:
+    """The raised parameter sets of the two confluent derivative routes:
+    (p, gamma+1, 0, alpha+1, 4p(alpha+1)) and
+    (p, gamma+1, 2, alpha+2, 4p(alpha+1)-gamma-1).
+    """
+    sigma = 4.0 * p * (alpha + 1.0)
+    return (ConfluentHeunParams(p, gamma + 1.0, 0.0, alpha + 1.0, sigma),
+            ConfluentHeunParams(p, gamma + 1.0, 2.0, alpha + 2.0, sigma - gamma - 1.0))
+
+
 def confluent_derivative_sides(p: float, gamma: float, alpha: float, x: float,
                                second_route: bool) -> tuple[float, float]:
     """Derivative of the confluent solution (p, gamma, 0, alpha, 4*p*alpha).
@@ -145,18 +143,11 @@ def confluent_derivative_sides(p: float, gamma: float, alpha: float, x: float,
     Route two:  (4*p*alpha/gamma)(x-1) u(p, gamma+1, 2, alpha+2, 4p(alpha+1)-gamma-1).
     """
     sigma = 4.0 * p * alpha
-    params = ConfluentHeunParams(p, gamma, 0.0, alpha, sigma)
-    lhs = _confluent_derivative(params, x)
+    lhs = _confluent_derivative(ConfluentHeunParams(p, gamma, 0.0, alpha, sigma), x)
+    first, second = _raised_confluent(p, gamma, alpha)
     if not second_route:
-        raised = ConfluentHeunParams(p, gamma + 1.0, 0.0, alpha + 1.0,
-                                     4.0 * p * (alpha + 1.0))
-        rhs = -(sigma / gamma) * eval_confluent_heun(raised, x, _OPTS).value
-    else:
-        raised = ConfluentHeunParams(p, gamma + 1.0, 2.0, alpha + 2.0,
-                                     4.0 * p * (alpha + 1.0) - gamma - 1.0)
-        rhs = (sigma / gamma) * (x - 1.0) \
-            * eval_confluent_heun(raised, x, _OPTS).value
-    return lhs, rhs
+        return lhs, -(sigma / gamma) * eval_confluent_heun(first, x, _OPTS).value
+    return lhs, (sigma / gamma) * (x - 1.0) * eval_confluent_heun(second, x, _OPTS).value
 
 
 def confluent_route_equality_sides(p: float, gamma: float, alpha: float,
@@ -166,13 +157,9 @@ def confluent_route_equality_sides(p: float, gamma: float, alpha: float,
     u(p, gamma+1, 0, alpha+1, 4p(alpha+1); x)
         = (1-x) u(p, gamma+1, 2, alpha+2, 4p(alpha+1)-gamma-1; x).
     """
-    first = ConfluentHeunParams(p, gamma + 1.0, 0.0, alpha + 1.0,
-                                4.0 * p * (alpha + 1.0))
-    second = ConfluentHeunParams(p, gamma + 1.0, 2.0, alpha + 2.0,
-                                 4.0 * p * (alpha + 1.0) - gamma - 1.0)
-    lhs = eval_confluent_heun(first, x, _OPTS).value
-    rhs = (1.0 - x) * eval_confluent_heun(second, x, _OPTS).value
-    return lhs, rhs
+    first, second = _raised_confluent(p, gamma, alpha)
+    return (eval_confluent_heun(first, x, _OPTS).value,
+            (1.0 - x) * eval_confluent_heun(second, x, _OPTS).value)
 
 
 def k_slope_sides(n: int, x: float) -> tuple[float, float]:
@@ -235,117 +222,65 @@ def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
 
 
 # ---------------------------------------------------------------------------
-# randomized samplers
+# randomized samplers: each returns its point as the keyword arguments of
+# the sides functions it feeds, drawn in the order of the dict literal
 
 
-def _sample_general(rng: random.Random) -> tuple[float, float, float, float, float, float]:
-    a = rng.uniform(0.3, 0.7)
-    alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(-3.0, 3.0)
-    gamma = rng.uniform(0.5, 3.0)
-    delta = rng.uniform(0.5, 3.0)
-    x = rng.uniform(0.0, 0.45 * min(1.0, abs(a)))
-    return a, alpha, beta, gamma, delta, x
+def _sample_general(rng: random.Random) -> dict:
+    return {"a": (a := rng.uniform(0.3, 0.7)),
+            "alpha": rng.uniform(-3.0, 3.0), "beta": rng.uniform(-3.0, 3.0),
+            "gamma": rng.uniform(0.5, 3.0), "delta": rng.uniform(0.5, 3.0),
+            "x": rng.uniform(0.0, 0.45 * min(1.0, abs(a)))}
 
 
-def _sample_confluent(rng: random.Random) -> tuple[float, float, float, float]:
-    p = rng.uniform(0.3, 2.0)
-    gamma = rng.uniform(0.5, 3.0)
-    alpha = rng.uniform(-3.0, 3.0)
-    x = rng.uniform(0.0, 0.45)
-    return p, gamma, alpha, x
+def _sample_half(rng: random.Random) -> dict:
+    return {"alpha": rng.uniform(-3.0, 3.0), "beta": rng.uniform(-3.0, 3.0),
+            "gamma": rng.uniform(0.5, 3.0), "x": rng.uniform(0.0, 0.225)}
 
 
-def _trial_2_3(rng):
-    a, alpha, beta, gamma, delta, x = _sample_general(rng)
-    lhs, rhs = derivative_raised_sides(a, alpha, beta, gamma, delta, x,
-                                       explicit_pair=False)
-    return lhs, rhs, {"a": a, "alpha": alpha, "beta": beta, "gamma": gamma,
-                      "delta": delta, "x": x}
+def _sample_confluent(rng: random.Random) -> dict:
+    return {"p": rng.uniform(0.3, 2.0), "gamma": rng.uniform(0.5, 3.0),
+            "alpha": rng.uniform(-3.0, 3.0), "x": rng.uniform(0.0, 0.45)}
 
 
-def _trial_5_1(rng):
-    a, alpha, beta, gamma, delta, x = _sample_general(rng)
-    lhs, rhs = derivative_raised_sides(a, alpha, beta, gamma, delta, x,
-                                       explicit_pair=True)
-    return lhs, rhs, {"a": a, "alpha": alpha, "beta": beta, "gamma": gamma,
-                      "delta": delta, "x": x}
+def _sample_k_slope(rng: random.Random) -> dict:
+    return {"n": rng.randint(1, 8), "x": rng.uniform(0.0, 0.45)}
 
 
-def _trial_2_4(rng):
-    a, alpha, beta, gamma, delta, x = _sample_general(rng)
-    lhs, rhs = derivative_reflected_sides(a, alpha, beta, gamma, delta, x)
-    return lhs, rhs, {"a": a, "alpha": alpha, "beta": beta, "gamma": gamma,
-                      "delta": delta, "x": x}
+def _sample_homotopy(rng: random.Random) -> dict:
+    return dict(_sample_general(rng), q=rng.uniform(-3.0, 3.0))
 
 
-def _trial_half(rng, reflected):
-    alpha = rng.uniform(-3.0, 3.0)
-    beta = rng.uniform(-3.0, 3.0)
-    gamma = rng.uniform(0.5, 3.0)
-    x = rng.uniform(0.0, 0.225)
-    lhs, rhs = derivative_half_sides(alpha, beta, gamma, x, reflected)
-    return lhs, rhs, {"alpha": alpha, "beta": beta, "gamma": gamma, "x": x}
+def _sample_gauss(rng: random.Random) -> dict:
+    return {"a": rng.uniform(-3.0, 3.0), "b": rng.uniform(-3.0, 3.0),
+            "c": rng.uniform(0.5, 3.0), "m": rng.choice((1, 2)),
+            "x": rng.uniform(0.0, 0.45)}
 
 
-def _trial_confluent(rng, second_route):
-    p, gamma, alpha, x = _sample_confluent(rng)
-    lhs, rhs = confluent_derivative_sides(p, gamma, alpha, x, second_route)
-    return lhs, rhs, {"p": p, "gamma": gamma, "alpha": alpha, "x": x}
-
-
-def _trial_4_3(rng):
-    n = rng.randint(1, 8)
-    x = rng.uniform(0.0, 0.45)
-    lhs, rhs = k_slope_sides(n, x)
-    return lhs, rhs, {"n": n, "x": x}
-
-
-def _trial_1_9(rng):
-    a, alpha, beta, gamma, delta, x = _sample_general(rng)
-    q = rng.uniform(-3.0, 3.0)
-    params = GeneralHeunParams(a, q, alpha, beta, gamma, delta)
-    lhs, rhs = homotopy_sides(params, x)
-    return lhs, rhs, {"a": a, "q": q, "alpha": alpha, "beta": beta,
-                      "gamma": gamma, "delta": delta, "x": x}
-
-
-def _trial_5_2(rng):
-    a = rng.uniform(-3.0, 3.0)
-    b = rng.uniform(-3.0, 3.0)
-    c = rng.uniform(0.5, 3.0)
-    m = rng.choice((1, 2))
-    x = rng.uniform(0.0, 0.45)
-    lhs, rhs = gauss_weighted_derivative_sides(a, b, c, m, x)
-    return lhs, rhs, {"a": a, "b": b, "c": c, "m": m, "x": x}
-
-
-def _trial_4_1_eq_4_2(rng):
-    p, gamma, alpha, x = _sample_confluent(rng)
-    lhs, rhs = confluent_route_equality_sides(p, gamma, alpha, x)
-    return lhs, rhs, {"p": p, "gamma": gamma, "alpha": alpha, "x": x}
-
-
-_TRIALS = {
-    "rel_2_3": _trial_2_3,
-    "rel_2_4": _trial_2_4,
-    "rel_2_5": lambda rng: _trial_half(rng, reflected=False),
-    "rel_2_6": lambda rng: _trial_half(rng, reflected=True),
-    "rel_5_1": _trial_5_1,
-    "rel_4_1": lambda rng: _trial_confluent(rng, second_route=False),
-    "rel_4_2": lambda rng: _trial_confluent(rng, second_route=True),
-    "rel_4_3": _trial_4_3,
-    "rel_1_9": _trial_1_9,
-    "rel_5_2": _trial_5_2,
-    "rel_4_1_eq_4_2": _trial_4_1_eq_4_2,
+# relation id -> (sampler, sides); the order is the order verify reports
+_RELATIONS = {
+    "rel_2_3": (_sample_general, partial(derivative_raised_sides, explicit_pair=False)),
+    "rel_2_4": (_sample_general, derivative_reflected_sides),
+    "rel_2_5": (_sample_half, partial(derivative_half_sides, reflected=False)),
+    "rel_2_6": (_sample_half, partial(derivative_half_sides, reflected=True)),
+    "rel_5_1": (_sample_general, partial(derivative_raised_sides, explicit_pair=True)),
+    "rel_4_1": (_sample_confluent, partial(confluent_derivative_sides, second_route=False)),
+    "rel_4_2": (_sample_confluent, partial(confluent_derivative_sides, second_route=True)),
+    "rel_4_3": (_sample_k_slope, k_slope_sides),
+    "rel_1_9": (_sample_homotopy,
+                lambda x, **params: homotopy_sides(GeneralHeunParams(**params), x)),
+    "rel_5_2": (_sample_gauss, gauss_weighted_derivative_sides),
+    "rel_4_1_eq_4_2": (_sample_confluent, confluent_route_equality_sides),
 }
+
+RELATION_IDS = tuple(_RELATIONS)
 
 
 def check_relation(relation_id: str, trials: int = 100, tol: float = 1e-7,
                    seed: int = 0) -> RelationReport:
     """Run seeded random trials of one relation and report the worst residual."""
     try:
-        trial = _TRIALS[relation_id]
+        sample, sides = _RELATIONS[relation_id]
     except KeyError:
         raise UnknownRelationError(f"unknown relation id {relation_id!r}") from None
     if trials < 1:
@@ -354,7 +289,8 @@ def check_relation(relation_id: str, trials: int = 100, tol: float = 1e-7,
     worst = -1.0
     worst_point: dict = {}
     for _ in range(trials):
-        lhs, rhs, point = trial(rng)
+        point = sample(rng)
+        lhs, rhs = sides(**point)
         residual = abs(lhs - rhs)
         if residual > worst:
             worst = residual

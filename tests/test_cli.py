@@ -307,6 +307,14 @@ class TestVerify:
                                "--mutate-identity", str(site)])
         assert report.code == 1
 
+    @pytest.mark.parametrize("argv", [["--max-n", "-1", "--trials", "1"],
+                                      ["--max-n", "3", "--trials", "0"]])
+    def test_bad_arguments_are_usage_errors_before_any_output(self, argv):
+        report, out, err = invoke(["verify", *argv])
+        assert report.code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_seed_changes_residuals_not_outcome(self):
         r0, out0, _ = invoke(["verify", "--max-n", "5", "--trials", "5",
                               "--seed", "0"])
