@@ -12,16 +12,17 @@ for the four-singular-point case, and
     u'' + (4p + gamma/x + delta/(x-1)) u'
         + (4*p*alpha*x - sigma) / (x(x-1)) u = 0
 
-for the confluent case.  Evaluation is refused outside the disk bounded
-by the singular point nearest to the origin; analytic continuation is
-out of scope.
+for the confluent case.  The two recurrences share one shape, and one
+kernel, ``_sum_recurrence``, runs either and sums u and its derivatives
+in the same loop.  Evaluation is refused outside the disk bounded by the
+singular point nearest to the origin and for non-finite x; analytic
+continuation is out of scope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DomainError
 
@@ -36,6 +37,12 @@ def _is_nonpositive_integer(value: float) -> bool:
     return value <= 0.0 and float(value).is_integer()
 
 
+def _check_finite(params) -> None:
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SeriesOptions:
     """Truncation controls shared by every series evaluation."""
@@ -44,6 +51,8 @@ class SeriesOptions:
     rel_tol: float = 1e-15
 
     def __post_init__(self):
+        if not isinstance(self.max_terms, int):
+            raise DomainError("max_terms must be an integer")
         if self.max_terms < 2:
             raise DomainError("max_terms must be at least 2")
         if not 0.0 < self.rel_tol < 1.0:
@@ -85,6 +94,7 @@ class GeneralHeunParams:
     delta: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.a == 0.0 or self.a == 1.0:
             raise DomainError("singular-point location a must not be 0 or 1")
         if _is_nonpositive_integer(self.gamma):
@@ -99,6 +109,12 @@ class GeneralHeunParams:
         """Radius of convergence of the local series at the origin."""
         return min(1.0, abs(self.a))
 
+    def _recurrence(self) -> tuple:
+        """a(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)(1+a) + a*delta + epsilon) + q] c_k
+                                     - (k-1+alpha)(k-1+beta) c_{k-1}"""
+        a = self.a
+        return 1 + a, a * self.delta, self.epsilon, self.q, a, -1.0, -self.beta
+
 
 @dataclass(frozen=True)
 class ConfluentHeunParams:
@@ -111,6 +127,7 @@ class ConfluentHeunParams:
     sigma: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.p == 0.0:
             raise DomainError("p must be nonzero")
         if _is_nonpositive_integer(self.gamma):
@@ -120,100 +137,77 @@ class ConfluentHeunParams:
     def radius(self) -> float:
         return 1.0
 
+    def _recurrence(self) -> tuple:
+        """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
+                                   + 4p(k-1+alpha) c_{k-1}"""
+        return 1.0, self.delta, -4 * self.p, -self.sigma, 1.0, 0.0, 4 * self.p
 
-def _general_coefficients(p: GeneralHeunParams) -> Iterator[float]:
-    """Yield c_0, c_1, ... with c_0 = 1 and a*gamma*c_1 = q.
 
-    For k >= 1:
-        a(k+1)(k+gamma) c_{k+1}
-            = [k((k-1+gamma)(1+a) + a*delta + epsilon) + q] c_k
-              - (k-1+alpha)(k-1+beta) c_{k-1}
+def _sum_recurrence(params: GeneralHeunParams | ConfluentHeunParams, x: float,
+                    opts: SeriesOptions, max_order: int) -> list[EvalResult]:
+    """Run the three-term recurrence and sum u, ..., u^(max_order) in one loop.
+
+    Both equations give c_0 = 1, d*gamma*c_1 = v and, for k >= 1,
+
+        d(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)s + t + u) + v] c_k
+                                  + (k-1+alpha)(rho(k-1) + w) c_{k-1}
+
+    with the constants of ``params._recurrence()``.  Summation stops once
+    every tracked derivative had _STREAK consecutive terms below rel_tol
+    times its partial sum.  Coefficients can overflow doubles long before
+    the terms matter: a non-finite one ends the sum unconverged, so the
+    caller can reroute through its conjugate series.  Error estimates
+    include a cancellation floor of machine epsilon times the sum of
+    absolute terms.
     """
-    a, q, ga, de, ep = p.a, p.q, p.gamma, p.delta, p.epsilon
-    al, be = p.alpha, p.beta
-    c_prev = 1.0
-    yield c_prev
-    c_cur = q / (a * ga)
-    yield c_cur
-    k = 1
-    while True:
-        rhs = (k * ((k - 1 + ga) * (1 + a) + a * de + ep) + q) * c_cur
-        rhs -= (k - 1 + al) * (k - 1 + be) * c_prev
-        c_prev, c_cur = c_cur, rhs / (a * (k + 1) * (k + ga))
-        yield c_cur
-        k += 1
-
-
-def _confluent_coefficients(p: ConfluentHeunParams) -> Iterator[float]:
-    """Yield c_0, c_1, ... with c_0 = 1 and gamma*c_1 = -sigma.
-
-    For k >= 1:
-        (k+1)(k+gamma) c_{k+1}
-            = [k(k-1+gamma+delta-4p) - sigma] c_k + 4p(k-1+alpha) c_{k-1}
-    """
-    pp, ga, de, al, si = p.p, p.gamma, p.delta, p.alpha, p.sigma
-    c_prev = 1.0
-    yield c_prev
-    c_cur = -si / ga
-    yield c_cur
-    k = 1
-    while True:
-        rhs = (k * (k - 1 + ga + de - 4 * pp) - si) * c_cur
-        rhs += 4 * pp * (k - 1 + al) * c_prev
-        c_prev, c_cur = c_cur, rhs / ((k + 1) * (k + ga))
-        yield c_cur
-        k += 1
-
-
-def _sum_series(coeffs: Iterator[float], x: float, opts: SeriesOptions,
-                max_order: int) -> list[EvalResult]:
-    """Sum u, u', ..., u^(max_order) of sum c_k x^k with shared truncation.
-
-    Stops once every tracked derivative had _STREAK consecutive terms
-    below rel_tol times its partial sum.  Error estimates include a
-    cancellation floor of machine epsilon times the sum of absolute
-    terms.
-    """
-    m1 = max_order + 1
-    sums = [0.0] * m1
-    abs_sums = [0.0] * m1
-    last = [0.0] * m1
-    xpow = [0.0] * m1          # xpow[m] == x^(k - m), valid for m <= k
-    xpow[0] = 1.0
+    s, t, u, v, d, rho, w = params._recurrence()
+    gamma, alpha = params.gamma, params.alpha
+    tol, last_k = opts.rel_tol, opts.max_terms - 1
+    # the c_0 = 1 term is already summed; xk == x^k for the c_k in hand
+    total = abs_total = last = 1.0
+    sums, abs_sums, lasts = ([0.0] * (max_order + 1) for _ in range(3))
+    orders = range(1, max_order + 1)
+    xpow = [1.0] * (max_order + 1)  # xpow[m] == x^(k - m), read for 1 <= m <= k
     streak = 0
-    k = 0
     converged = False
-    for c in coeffs:
-        # coefficients can overflow doubles long before the terms matter;
-        # abort so the caller can reroute through a better-conditioned form
-        if not math.isfinite(c):
+    c_prev, c, xk = 1.0, v / (d * gamma), x
+    k, kf = 1, 1.0  # kf == float(k): CPython runs float-only arithmetic faster
+    while math.isfinite(c):
+        last = term = c * xk
+        total += term
+        size = abs(term)
+        abs_total += size
+        small = not size > tol * abs(total)
+        if max_order:
+            ff = kf                    # falling factorial k(k-1)...(k-m+1)
+            for m in orders if k >= max_order else range(1, k + 1):
+                lasts[m] = term = c * ff * xpow[m]
+                sums[m] += term
+                size = abs(term)
+                abs_sums[m] += size
+                if size > tol * abs(sums[m]):
+                    small = False
+                ff *= k - m
+            small = small and k >= max_order
+        streak = streak + 1 if small else 0
+        if streak >= _STREAK or k >= last_k:
+            converged = streak >= _STREAK
+            k += 1
             break
-        all_small = True
-        ff = 1.0               # falling factorial k(k-1)...(k-m+1)
-        for m in range(min(k, max_order) + 1):
-            term = c * ff * xpow[m]
-            sums[m] += term
-            abs_sums[m] += abs(term)
-            last[m] = term
-            if abs(term) > opts.rel_tol * abs(sums[m]):
-                all_small = False
-            ff *= k - m
-        if all_small and k >= max_order:
-            streak += 1
-        else:
-            streak = 0
+        if max_order:
+            xpow.insert(1, xk)
+            xpow.pop()
+        xk *= x
+        j = kf - 1.0
+        c_prev, c = c, (((kf * ((j + gamma) * s + t + u) + v) * c
+                         + (j + alpha) * (rho * j + w) * c_prev)
+                        / (d * (kf + 1.0) * (kf + gamma)))
         k += 1
-        if streak >= _STREAK:
-            converged = True
-            break
-        if k >= opts.max_terms:
-            break
-        for m in range(max_order, 0, -1):
-            xpow[m] = xpow[m - 1]
-        xpow[0] *= x
+        kf += 1.0
+    sums[0], abs_sums[0], lasts[0] = total, abs_total, last
     results = []
-    for m in range(m1):
-        est = abs(last[m])
+    for m in range(max_order + 1):
+        est = abs(lasts[m])
         if converged:
             est = max(est, _EPS * abs_sums[m])
         results.append(EvalResult(sums[m], k, converged, est))
@@ -221,7 +215,7 @@ def _sum_series(coeffs: Iterator[float], x: float, opts: SeriesOptions,
 
 
 def _check_disk(x: float, radius: float) -> None:
-    if abs(x) >= radius:
+    if not abs(x) < radius:
         raise DomainError(
             f"|x| = {abs(x)} is outside the convergence disk |x| < {radius}")
 
@@ -265,11 +259,14 @@ def _eval_general(params: GeneralHeunParams, x: float, opts: SeriesOptions,
     cancels catastrophically (detected through the error estimate); the
     prefactor (1 - x/a)^e is positive throughout the disk.
     """
-    direct = _sum_series(_general_coefficients(params), x, opts, max_order)
+    direct = _sum_recurrence(params, x, opts, max_order)
     if not _needs_rescue(direct[0], opts):
         return direct
-    exponent, transformed = transform_homotopy(params)
-    inner = _sum_series(_general_coefficients(transformed), x, opts, max_order)
+    try:
+        exponent, transformed = transform_homotopy(params)
+    except DomainError:  # the transformed parameters overflow
+        return direct
+    inner = _sum_recurrence(transformed, x, opts, max_order)
     base = 1.0 - x / params.a
     pref = []
     fall = 1.0
@@ -288,14 +285,17 @@ def _eval_confluent(params: ConfluentHeunParams, x: float, opts: SeriesOptions,
 
     whose series is far better conditioned when 4px is large.
     """
-    direct = _sum_series(_confluent_coefficients(params), x, opts, max_order)
+    direct = _sum_recurrence(params, x, opts, max_order)
     if not _needs_rescue(direct[0], opts):
         return direct
     p = params
-    conjugate = ConfluentHeunParams(-p.p, p.gamma, p.delta,
-                                    p.gamma + p.delta - p.alpha,
-                                    p.sigma - 4.0 * p.p * p.gamma)
-    inner = _sum_series(_confluent_coefficients(conjugate), x, opts, max_order)
+    try:
+        conjugate = ConfluentHeunParams(-p.p, p.gamma, p.delta,
+                                        p.gamma + p.delta - p.alpha,
+                                        p.sigma - 4.0 * p.p * p.gamma)
+    except DomainError:  # the conjugate parameters overflow
+        return direct
+    inner = _sum_recurrence(conjugate, x, opts, max_order)
     expfac = math.exp(-4.0 * p.p * x)
     pref = [expfac * (-4.0 * p.p) ** i for i in range(max_order + 1)]
     return _better(direct, _combine_prefactor(pref, inner, max_order))

@@ -61,6 +61,58 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             SeriesOptions(rel_tol=1.5)
 
+    @pytest.mark.parametrize("max_terms", [2.5, 100.0, "100"])
+    def test_series_options_reject_non_integer_max_terms(self, max_terms):
+        with pytest.raises(DomainError):
+            SeriesOptions(max_terms=max_terms)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_rejects_non_finite_general_parameters(self, bad, slot):
+        values = [0.5, 0.3, 1.0, 2.0, 1.5, 1.2]
+        values[slot] = bad
+        with pytest.raises(DomainError):
+            GeneralHeunParams(*values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_rejects_non_finite_confluent_parameters(self, bad, slot):
+        values = [1.0, 1.5, 0.0, 0.5, 2.0]
+        values[slot] = bad
+        with pytest.raises(DomainError):
+            ConfluentHeunParams(*values)
+
+
+class TestOverflowingConjugate:
+    """Finite parameters whose rescue parameters overflow keep the direct sum."""
+
+    @pytest.mark.parametrize("evaluate,params", [
+        (eval_heun_derivatives, GeneralHeunParams(0.5, 0.3, 1e308, 1e308, 1.5, 1.2)),
+        (eval_confluent_derivatives, ConfluentHeunParams(1e308, 1.5, 0.0, 0.5, 2.0)),
+    ])
+    def test_unconverged_direct_sum_is_returned(self, evaluate, params):
+        u, du = evaluate(params, 0.3, 1)
+        assert not u.converged and not du.converged
+        assert math.isfinite(u.value) and u.error_estimate > 0.1 * abs(u.value)
+
+
+class TestNonFiniteX:
+    GENERAL = GeneralHeunParams(0.5, 0.3, 1, 2, 1.5, 1.2)
+    CONFLUENT = ConfluentHeunParams(1.0, 1.5, 0.0, 0.5, 2.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("evaluate,params", [
+        (eval_heun_local, GENERAL),
+        (eval_heun_derivatives, GENERAL),
+        (heun_ode_residual, GENERAL),
+        (eval_confluent_heun, CONFLUENT),
+        (eval_confluent_derivatives, CONFLUENT),
+        (confluent_ode_residual, CONFLUENT),
+    ])
+    def test_non_finite_x_is_a_domain_error(self, evaluate, params, x):
+        with pytest.raises(DomainError):
+            evaluate(params, x)
+
 
 class TestGeneralSeries:
     def test_normalized_at_origin(self):
