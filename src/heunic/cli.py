@@ -102,9 +102,10 @@ TARGETS: dict[str, Target] = {
         "definitional": lambda args, x, opts: _result(coincidence.eval_K(args.n, x, opts)),
         "quadrature": lambda args, x, opts: (
             *coincidence.k_derivative_quadrature(args.n, 0, x), True),
-        # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n)
+        # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n);
+        # 2n stays an integer, so a too-large n is refused as a parameter
         "confluent-series": lambda args, x, opts: _result(eval_confluent_heun(
-            ConfluentHeunParams(args.n, 1.0, 0.0, 0.5, 2.0 * args.n), x, opts)),
+            ConfluentHeunParams(args.n, 1.0, 0.0, 0.5, 2 * args.n), x, opts)),
     }, default="definitional", index=True),
     "Kderiv": Target(("n", "j"), {
         "quadrature": lambda args, x, opts: (
@@ -361,6 +362,17 @@ def _cmd_verify(args, out: TextIO) -> ExitReport:
     return ExitReport(0 if ok else 1, "verification " + ("passed" if ok else "failed"))
 
 
+def _join_grid(argv: list[str]) -> list[str]:
+    """Rewrite each "--grid V" as "--grid=V": argparse would take a V such
+    as -0.5:0.5:0.5, which starts with a minus sign, for an option."""
+    joined = []
+    rest = iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--grid" else None
+        joined.append(arg if value is None else f"--grid={value}")
+    return joined
+
+
 def run(argv: list[str], out: TextIO | None = None,
         err: TextIO | None = None) -> ExitReport:
     """Parse argv, dispatch, and return an ExitReport; never raises."""
@@ -368,7 +380,7 @@ def run(argv: list[str], out: TextIO | None = None,
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_grid(argv))
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 2
         return ExitReport(code, "usage")

@@ -124,16 +124,119 @@ def _expanded(m: int, a: int, e: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# The defining sums of F, G and K, summed outward from the mode
+
+
+_MODE_BITS = 128
+
+
+def _power_top(base: int, exp: int) -> tuple[int, int]:
+    """(a, s) with base^exp = a 2^s to about 120 bits: binary powering
+    that keeps the top _MODE_BITS bits of the running power."""
+    result, shift = 1, 0
+    for bit in bin(exp)[2:]:
+        result *= result
+        shift *= 2
+        if bit == "1":
+            result *= base
+        drop = result.bit_length() - _MODE_BITS
+        if drop > 0:
+            result >>= drop
+            shift += drop
+    return result, shift
+
+
+_STIRLING_FROM = 20
+
+
+def _stirling_remainder(m: int) -> float:
+    """r(m) = ln m! - (m + 1/2) ln m + m - ln(2 pi)/2 for m >= 20, from
+    Stirling's series (DLMF 5.11.1), five terms, truncation below 1e-17."""
+    z = 1.0 / (m * m)
+    return (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (1 / 1680 - z / 1188)))) / m
+
+
+def _binomial_mode_weight(big: int, k: int, p: int, q: int) -> float:
+    """C(N,k) x^k (1-x)^(N-k) at x = p/q, for k within one of N x.
+
+    With k and N - k both from 20 on, Stirling's series gives it as
+    exp(k ln(Nx/k) + (N-k) ln(N(1-x)/(N-k)) + r(N) - r(k) - r(N-k))
+    sqrt(N/(2 pi k (N-k))), where Nx - k = (Np - kq)/q is formed exactly
+    and the two logarithms, each about Nx - k, stay O(1): nothing of size
+    N cancels, and no integer of N digits is formed.  Otherwise C(N,k)
+    is small, and the weight is rounded once from 120-bit powers.
+    """
+    rest = big - k
+    if min(k, rest) < _STIRLING_FROM:
+        (a, sa), (b, sb), (c, sc) = _power_top(p, k), _power_top(q - p, rest), _power_top(q, big)
+        top, shift = math.comb(big, k) * a * b, sa + sb - sc
+        return top / (c << -shift) if shift < 0 else (top << shift) / c
+    d = big * p - k * q
+    exponent = (k * math.log1p(d / (k * q)) + rest * math.log1p(-d / (rest * q))
+                + _stirling_remainder(big) - _stirling_remainder(k) - _stirling_remainder(rest))
+    return math.exp(exponent) * math.sqrt(big / (2.0 * math.pi * k * rest))
+
+
+def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
+              tol: float, budget: int) -> EvalResult:
+    """Sum of the squared weights t_k = w_k^2 of a log-concave family,
+    from the mode term t_m = ``top`` outward.
+
+    Consecutive weights have the ratio w_{k+1}/w_k = rho (u0 + u1 k)/(k+1),
+    which decreases in k, so the terms fall off on both sides of the mode
+    faster than geometrically.  Each side stops at its first term below
+    ``tol`` times the running total, and its tail is bounded by that term
+    over one minus the last ratio; a walk that reaches k = 0, or a zero of
+    u0 + u1 k, ends with a zero term.  At most ``budget`` terms are summed,
+    else the result is not converged.  The terms are added by ``fsum``; a
+    term d steps from the mode carries at most about 3d roundings from
+    the walk, which the error estimate bounds by 4 eps d t_k, besides
+    10 eps of the whole for the mode term and the sum.
+    """
+    terms = [top]
+    total = top
+    moment = 0.0  # sum of d t_k over the walked terms, d steps from the mode
+    tail = 0.0
+    # per side: the ratio t_{k+step}/t_k is (c num/den)^2, and num and den
+    # move by dnum and dden with each step
+    sides = [(rho, u0 + u1 * m, m + 1.0, u1, 1.0)]
+    if m > 0:
+        sides.insert(0, (1.0 / rho, float(m), u0 + u1 * (m - 1), -1.0, -u1))
+    for c, num, den, dnum, dden in sides:
+        t, d = top, 0.0
+        for _ in range(budget - len(terms)):
+            w = c * num / den
+            t *= w * w
+            if t <= tol * total:
+                tail += t / (1.0 - w * w) if w * w < 1.0 else math.inf
+                break
+            terms.append(t)
+            total += t
+            num += dnum
+            den += dden
+            d += 1.0
+            moment += d * t
+        else:
+            return EvalResult(math.fsum(terms), len(terms), False, t)
+    value = math.fsum(terms)
+    return EvalResult(value, len(terms), True,
+                      tail + _EPS * (4.0 * moment + 10.0 * value))
+
+
+# ---------------------------------------------------------------------------
 # F_n routes
 
 
-def _f_definitional(n: int, x: float) -> float:
+def _f_definitional(n: int, x: float) -> EvalResult:
     if not 0.0 <= x <= 1.0:
         raise DomainError("the defining sum for F needs 0 <= x <= 1")
-    total = 0.0
-    for k in range(n + 1):
-        total += (math.comb(n, k) * x**k * (1.0 - x) ** (n - k)) ** 2
-    return total
+    # the weights at 1 - x are those at x reversed; 1 - x is exact here
+    p, q = (1.0 - x if x > 0.5 else x).as_integer_ratio()
+    m = (n + 1) * p // q  # the mode of C(n,k) x^k (1-x)^(n-k)
+    weight = _binomial_mode_weight(n, m, p, q)
+    # n + 1 terms at most: the walk ends by itself at k = 0 and at k = n
+    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p),
+                     _EPS, n + 2)
 
 
 def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
@@ -144,7 +247,7 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
     """
     _require_order(n)
     if method is FMethod.DEFINITIONAL:
-        return _f_definitional(n, x)
+        return _f_definitional(n, x).value
     p, q = x.as_integer_ratio()
     w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
     e = 2 * q.bit_length() - 2  # q^2 = 2^e
@@ -165,36 +268,32 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
 # G_n routes
 
 
+def _cannot_converge(variance: float, opts: SeriesOptions) -> bool:
+    """True when the terms spread over more than ``opts.max_terms`` indices."""
+    return not variance <= float(opts.max_terms) ** 2
+
+
 def _g_definitional(n: int, x: float, opts: SeriesOptions) -> EvalResult:
     if x < 0.0:
         raise DomainError("the defining sum for G needs x >= 0")
-    base = (1.0 + x) ** (-2 * n)
-    r = (x / (1.0 + x)) ** 2
-    term = base
-    total = term
-    k = 0
-    while k + 1 < opts.max_terms:
-        # ratio of consecutive squared weights, decreasing towards r
-        ratio = ((n + k) / (k + 1)) ** 2 * r
-        if ratio < 1.0 and term <= opts.rel_tol * total:
-            tail = term * ratio / (1.0 - ratio)
-            return EvalResult(total, k + 1, True,
-                              tail + _EPS * total)
-        term *= ratio
-        total += term
-        k += 1
-    ratio = ((n + k) / (k + 1)) ** 2 * r
-    tail = term * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return EvalResult(total, k + 1, False, tail)
+    if _cannot_converge(n * x * (1.0 + x), opts):
+        return EvalResult(math.nan, 0, False, math.inf)
+    p, q = x.as_integer_ratio()
+    m = (n - 1) * p // q  # the mode of C(n+k-1,k) t^k (1-t)^n, t = x/(1+x)
+    weight = _binomial_mode_weight(n + m - 1, m, p, p + q) * (q / (p + q))
+    return _mode_sum(weight * weight, m, float(n), 1.0, p / (p + q),
+                     opts.rel_tol, opts.max_terms)
 
 
 def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
            opts: SeriesOptions | None = None) -> EvalResult:
     """Index of coincidence G_n(x) by the selected route.
 
-    The definitional route truncates the infinite sum with a geometric
-    tail bound folded into the error estimate; closed forms are exact
-    finite sums (x != -1/2).
+    The definitional route sums outward from the mode of the weights and
+    folds a geometric tail bound into the error estimate; where the
+    weights spread over more than ``opts.max_terms`` indices it returns
+    NaN, not converged, without summing.  Closed forms are exact finite
+    sums (x != -1/2).
     """
     _require_order(n)
     opts = opts or DEFAULT_OPTIONS
@@ -223,39 +322,44 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
 # K_n and its derivatives
 
 
-def eval_K(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
-    """Index of coincidence K_n(x) by truncating the defining sum.
+def _poisson_mode_weight(m: int, frac: float) -> float:
+    """e^(-lam) lam^m / m! at lam = m + frac, 0 <= frac < 1.
 
-    The cut-off max(50, ceil(4nx) + 40) is far past the mode nx, where
-    the squared weights decay faster than geometrically.  A sum cut off
-    there before its terms fall below ``opts.rel_tol`` is reported as
-    not converged.
+    From m = 20 on, Stirling's series gives it as
+    exp(m ln(1 + frac/m) - frac - r(m)) / sqrt(2 pi m), whose exponent
+    stays O(1): nothing of size lam cancels, as it would between two
+    lgamma values.
+    """
+    if m < _STIRLING_FROM:
+        lam = m + frac
+        return math.exp(-lam) * lam**m / math.factorial(m)
+    return (math.exp(m * math.log1p(frac / m) - frac - _stirling_remainder(m))
+            / math.sqrt(2.0 * math.pi * m))
+
+
+def eval_K(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
+    """Index of coincidence K_n(x) by summing the defining sum from its mode.
+
+    The mode weight of lam = nx comes from Stirling's series, and the sum
+    walks outward from it.  At most max(51, ceil(4 lam) + 41) terms are
+    summed, far past the mode, where the squared weights decay faster
+    than geometrically; a sum cut off there, or at ``opts.max_terms``,
+    before its terms fall below ``opts.rel_tol`` is reported as not
+    converged.  Where the weights spread over more than ``opts.max_terms``
+    indices the result is NaN, not converged.
     """
     _require_order(n)
     if x < 0.0:
         raise DomainError("the defining sum for K needs x >= 0")
     opts = opts or DEFAULT_OPTIONS
     lam = n * x
-    k_max = max(50, math.ceil(4 * lam) + 40)
-    term = math.exp(-2.0 * lam)
-    total = term
-    small = 0
-    k = 0
-    converged = False
-    while k < k_max:
-        term *= (lam / (k + 1)) ** 2
-        total += term
-        k += 1
-        if k > lam and term <= opts.rel_tol * total:
-            small += 1
-            if small >= 3:
-                converged = True
-                break
-        else:
-            small = 0
-    ratio = (lam / (k + 1)) ** 2
-    tail = term * ratio / (1.0 - ratio) if ratio < 1.0 else term
-    return EvalResult(total, k + 1, converged, tail + _EPS * total)
+    if _cannot_converge(lam, opts):
+        return EvalResult(math.nan, 0, False, math.inf)
+    p, q = x.as_integer_ratio()
+    m = n * p // q  # the mode, floor(lam)
+    weight = _poisson_mode_weight(m, (n * p - m * q) / q)
+    budget = min(opts.max_terms, max(50, math.ceil(4 * lam) + 40) + 1)
+    return _mode_sum(weight * weight, m, lam, 0.0, 1.0, opts.rel_tol, budget)
 
 
 def _legendre_near_one(n: int, u: float) -> tuple[float, float]:

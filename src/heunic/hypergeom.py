@@ -1,7 +1,7 @@
 """Gauss and Clausen hypergeometric series and the Heun bridge they support.
 
-Provides the direct 2F1 series, the unit-argument 3F2 with sequence
-acceleration, a logarithmic closed form for 2F1(m, 1; m+2k+1; x), and the
+Provides the direct 2F1 series, the unit-argument 3F2 with Richardson
+extrapolation, a logarithmic closed form for 2F1(m, 1; m+2k+1; x), and the
 hypergeometric-route evaluation of the Heun family
 u(1/2, q; 2q, 1; 1, 1; x), which reduces to
 
@@ -109,75 +109,65 @@ def gauss_2f1(p: Gauss2F1Params, x: float,
     return EvalResult(total, j + 1, False, abs(term))
 
 
-def _aitken_checkpoints(checkpoints: list[float]) -> tuple[float, float]:
-    """Iterated Aitken delta-squared limit of geometrically indexed sums.
-
-    The repeated delta-squared transform assumes that partial sums
-    recorded at doubling indices converge like a mixture of geometric
-    sequences in the checkpoint counter, and strips one component at a
-    time.  That holds only roughly for slowly decaying terms: at k^-2
-    (unit excess 1) the transforms do not settle to rel_tol within 10000
-    terms, and most of the paper's family 3F2(1/2, q, q; q+1/2, q+1; 1)
-    ends unconverged (ROADMAP item 2).  Returns the best estimate and
-    the spread of the final transforms.
-    """
-    row = list(checkpoints)
-    best = row[-1]
-    best_err = abs(row[-1] - row[-2]) if len(row) > 1 else math.inf
-    while len(row) >= 3:
-        nxt = []
-        for a, b, c in zip(row, row[1:], row[2:]):
-            den = (c - b) - (b - a)
-            nxt.append(c if den == 0.0 else c - (c - b) ** 2 / den)
-        err = abs(nxt[-1] - row[-1])
-        if err < best_err:
-            best, best_err = nxt[-1], err
-        row = nxt
-    return best, best_err
-
-
 def clausen_3f2_unit(p: Clausen3F2Params,
                      opts: SeriesOptions | None = None) -> EvalResult:
-    """Unit-argument 3F2 with Aitken-accelerated summation.
+    """Unit-argument 3F2 by Richardson extrapolation of its partial sums.
 
-    Terms decay like k^(-1-s) with s = b1+b2-a1-a2-a3, so raw partial
-    sums converge algebraically; the accelerated limit is formed from
-    partial sums at doubling indices.  Raises DivergentSeriesError when
-    s <= 0 and the series does not terminate.
+    Terms decay like k^(-1-s) with s = b1+b2-a1-a2-a3, and the partial
+    sum of N terms is the limit plus a series in N^-s, N^-(s+1),
+    N^-(s+2), ...  The sums at N = N0 2^j, formed by ``fsum``, are
+    extrapolated one known exponent at a time (Sidi, Practical
+    Extrapolation Methods, 2003, ch. 1-2).  N0 = max(8, 2 ceil(P)), with
+    P the largest parameter magnitude, so that the first sum already
+    lies where that expansion holds.  The error estimate is the larger
+    of the last two differences along the newest row of the table, with
+    a floor of 4 eps times the sum of absolute terms times the factor by
+    which the extrapolation can amplify rounding.  ``opts.max_terms``
+    caps N.  A terminating series is summed term by term, without
+    extrapolation.  Raises DivergentSeriesError when s <= 0 and the
+    series does not terminate.
     """
     opts = opts or DEFAULT_OPTIONS
-    if not p.terminates and p.unit_excess <= 0.0:
+    s = p.unit_excess
+    if not p.terminates and not s > 0.0:
         raise DivergentSeriesError(
             "unit-argument series needs b1 + b2 - a1 - a2 - a3 > 0")
+    a1, a2, a3, b1, b2 = params = (p.a1, p.a2, p.a3, p.b1, p.b2)
     term = 1.0
     total = 1.0
     abs_total = 1.0
-    checkpoints = []
-    next_checkpoint = 8
+    terms = [1.0]
+    row: list[float] = []  # the Richardson row of the last checkpoint
+    amplification = 1.0
+    checkpoint = max(8, 2 * math.ceil(max(map(abs, params))))
     k = 0
-    estimate, est_err = total, math.inf
     while k + 1 < opts.max_terms:
-        term *= (p.a1 + k) * (p.a2 + k) * (p.a3 + k) \
-            / ((p.b1 + k) * (p.b2 + k) * (k + 1))
+        term *= (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (k + 1))
         total += term
         abs_total += abs(term)
+        terms.append(term)
         k += 1
-        if term == 0.0:
-            return EvalResult(total, k + 1, True, _EPS * abs_total)
-        if abs(term) <= opts.rel_tol * abs(total) and p.terminates:
-            return EvalResult(total, k + 1, True, _EPS * abs_total)
-        if k + 1 == next_checkpoint:
-            checkpoints.append(total)
-            next_checkpoint *= 2
-            if len(checkpoints) >= 4:
-                estimate, est_err = _aitken_checkpoints(checkpoints)
-                floor = _EPS * abs_total
+        if term == 0.0 or (abs(term) <= opts.rel_tol * abs(total) and p.terminates):
+            return EvalResult(math.fsum(terms), k + 1, True, _EPS * abs_total)
+        if k + 1 == checkpoint and not p.terminates:
+            new = [math.fsum(terms)]
+            for i, prev in enumerate(row):
+                f = 2.0 ** (s + i)
+                new.append((f * new[i] - prev) / (f - 1.0))
+            if row:
+                f = 2.0 ** (s + len(row) - 1)
+                amplification *= (f + 1.0) / (f - 1.0)
+            row = new
+            checkpoint *= 2
+            if len(row) >= 3:
+                estimate = row[-1]
+                est_err = max(abs(row[-1] - row[-2]), abs(row[-2] - row[-3]))
+                floor = 4.0 * _EPS * abs_total * amplification
                 if est_err <= max(opts.rel_tol * abs(estimate), floor):
-                    return EvalResult(estimate, k + 1, True,
-                                      max(est_err, floor))
-    if checkpoints:
+                    return EvalResult(estimate, k + 1, True, max(est_err, floor))
+    if len(row) >= 3:
         return EvalResult(estimate, k + 1, False, est_err)
-    return EvalResult(total, k + 1, False, abs(term))
+    return EvalResult(math.fsum(terms), k + 1, False, abs(term))
 
 
 def eval_hl_hypergeometric(q: float, x: float,

@@ -22,6 +22,8 @@ from .coincidence import eval_K_derivative
 from .errors import UnknownRelationError
 from .hypergeom import Gauss2F1Params, gauss_2f1
 from .series import (
+    _EPS,
+    _STREAK,
     ConfluentHeunParams,
     GeneralHeunParams,
     SeriesOptions,
@@ -179,24 +181,36 @@ def homotopy_sides(params: GeneralHeunParams, x: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-_POLY_TERMS = 320
+def _gauss_derivatives(a: float, b: float, c: float, m: int, x: float) -> list[float]:
+    """[f, f', ..., f^(m)](x) for f = 2F1(a, b; c; x), termwise, in one pass.
 
-
-def _gauss_series_coeffs(a: float, b: float, c: float, terms: int) -> list[float]:
-    out = [1.0]
-    t = 1.0
-    for j in range(terms - 1):
-        t *= (a + j) * (b + j) / ((c + j) * (j + 1))
-        out.append(t)
-    return out
-
-
-def _series_derivative(coeffs: list[float], k: int, x: float) -> float:
-    """k-th derivative of sum_j coeffs[j] x^j, termwise, by Horner."""
-    total = 0.0
-    for j in range(len(coeffs) - 1, k - 1, -1):
-        total = total * x + coeffs[j] * math.perm(j, k)
-    return total
+    The Gauss coefficients are formed as the pass goes; f^(i) gathers
+    coef_j j(j-1)...(j-i+1) x^(j-i).  The pass stops, as the series
+    kernel does, once every order had _STREAK terms in a row below
+    machine epsilon times its partial sum, or at max_terms: the Leibniz
+    sum can cancel, so the derivatives are summed to full precision.
+    """
+    tol = _EPS
+    sums = [1.0] + [0.0] * m
+    xpow = [1.0] * (m + 1)  # xpow[i] == x^(j - i), read for i <= j
+    coef = 1.0
+    streak = 0
+    j = 0
+    while streak < _STREAK and j + 1 < _OPTS.max_terms:
+        coef *= (a + j) * (b + j) / ((c + j) * (j + 1))
+        xpow.insert(0, x * xpow[0])
+        xpow.pop()
+        j += 1
+        small = j >= m
+        fall = 1.0  # j(j-1)...(j-i+1)
+        for i in range(min(m, j) + 1):
+            term = coef * fall * xpow[i]
+            sums[i] += term
+            if abs(term) > tol * abs(sums[i]):
+                small = False
+            fall *= j - i
+        streak = streak + 1 if small else 0
+    return sums
 
 
 def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
@@ -206,12 +220,14 @@ def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
 
     By Leibniz's rule with s = a+m-1 the left side is
     sum_i C(m,i) (-1)^i (s-i+1)_i (1-x)^(m-i) f^(m-i)(x), the weight
-    (1-x)^(1-a) folded into the power of (1-x).
+    (1-x)^(1-a) folded into the power of (1-x); f, ..., f^(m) come from
+    one termwise pass over the Gauss series, independent of
+    ``gauss_2f1``, which evaluates the right side.
     """
-    f = _gauss_series_coeffs(a, b, c, _POLY_TERMS)
+    f = _gauss_derivatives(a, b, c, m, x)
     s = a + m - 1.0
     lhs = sum(math.comb(m, i) * (-1) ** i * pochhammer(s - i + 1.0, i)
-              * (1.0 - x) ** (m - i) * _series_derivative(f, m - i, x)
+              * (1.0 - x) ** (m - i) * f[m - i]
               for i in range(m + 1))
     poch_a = pochhammer(a, m)
     poch_cb = pochhammer(c - b, m)

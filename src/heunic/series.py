@@ -39,7 +39,11 @@ def _is_nonpositive_integer(value: float) -> bool:
 
 def _check_finite(params) -> None:
     for name, value in vars(params).items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            raise DomainError(f"{name} is too large for a float") from None
+        if not finite:
             raise DomainError(f"{name} must be finite, got {value}")
 
 

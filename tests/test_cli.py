@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from heunic import FMethod, coincidence, eval_F
 from heunic.cli import TARGETS, ExitReport, emit_table, run
 
 
@@ -132,12 +133,31 @@ class TestTargetTable:
 
 
 class TestRobustness:
-    def test_arithmetic_error_is_numerical_exit(self):
+    def test_arithmetic_error_is_numerical_exit(self, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(coincidence, "eval_F", overflow)
         report, out, err = invoke(["eval", "--target", "F", "--n", "2000",
                                    "--x", "0.3", "--method", "definitional"])
         assert report.code == 3
         assert out == ""
         assert err.startswith("numerical failure")
+
+    def test_large_order_definitional_route(self):
+        report, out, err = invoke(["eval", "--target", "F", "--n", "2000",
+                                   "--x", "0.3", "--method", "definitional"])
+        assert report.code == 0
+        assert err == ""
+        assert abs(float(out) - eval_F(2000, 0.3)) <= 1e-14
+        assert float(out) == eval_F(2000, 0.3, FMethod.DEFINITIONAL)
+
+    def test_integer_beyond_float_range_is_usage_error(self):
+        report, out, err = invoke(["eval", "--target", "K", "--n", "1" + "0" * 330,
+                                   "--method", "confluent-series", "--x", "0.3"])
+        assert report.code == 2
+        assert out == ""
+        assert "too large" in err
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--target", "heun", *POINTS["heun"][:-1], "nan"],
@@ -214,6 +234,17 @@ class TestTable:
                                  "--grid", "0.1,0.25,0.9", "--output", "json"])
         assert report.code == 0
         assert [r["x"] for r in json.loads(out)] == [0.1, 0.25, 0.9]
+
+    @pytest.mark.parametrize("grid", ["-0.5:0.5:0.5", "-0.25,0.25"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_grid_start(self, grid, fmt):
+        argv = ["table", "--target", "confluent", "--p", "1", "--gamma", "1.5",
+                "--delta", "0", "--alpha", "0.5", "--sigma", "2", "--output", fmt]
+        spaced = invoke([*argv, "--grid", grid])
+        joined = invoke([*argv, f"--grid={grid}"])
+        assert spaced[0].code == joined[0].code == 0
+        assert spaced[1:] == joined[1:]
+        assert spaced[1].count("-0.") >= 1
 
     def test_bad_grid_is_usage_error(self):
         report, _, _ = invoke(["table", "--target", "K", "--n", "1",

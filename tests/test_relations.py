@@ -1,5 +1,6 @@
 """Relation suite: derivative ladders, transformation, route equalities."""
 
+import math
 import random
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from heunic import (
     RELATION_IDS,
+    pochhammer,
     UnknownRelationError,
     check_relation,
 )
@@ -147,6 +149,29 @@ class TestGaussWeightedDerivative:
     def test_log_family_instance(self, m):
         lhs, rhs = gauss_weighted_derivative_sides(1.0, 1.0, 2.0, m, 0.3)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_left_side_against_fixed_length_horner(self):
+        # the earlier left side, kept as the reference: 320 Gauss coefficients
+        # and one Horner pass per derivative order, with exact falling factorials
+        def horner_derivative(coeffs, k, x):
+            total = 0.0
+            for j in range(len(coeffs) - 1, k - 1, -1):
+                total = total * x + coeffs[j] * math.perm(j, k)
+            return total
+
+        rng = random.Random(53)
+        for _ in range(400):
+            a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            c, m, x = rng.uniform(0.5, 3), rng.choice((1, 2)), rng.uniform(0, 0.45)
+            coeffs = [1.0]
+            for j in range(319):
+                coeffs.append(coeffs[-1] * (a + j) * (b + j) / ((c + j) * (j + 1)))
+            s = a + m - 1.0
+            ref = sum(math.comb(m, i) * (-1) ** i * pochhammer(s - i + 1.0, i)
+                      * (1.0 - x) ** (m - i) * horner_derivative(coeffs, m - i, x)
+                      for i in range(m + 1))
+            lhs, _ = gauss_weighted_derivative_sides(a, b, c, m, x)
+            assert abs(lhs - ref) <= 1e-12 * max(1.0, abs(ref)), (a, b, c, m, x)
 
     def test_left_side_against_numerical_derivative(self):
         # the trial distribution of rel_5_2, differentiated by mpmath at 30 digits

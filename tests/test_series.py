@@ -66,7 +66,10 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             SeriesOptions(max_terms=max_terms)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # integers beyond the float range included: math.isfinite overflows on them
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="int-10**400"),
+                                     pytest.param(-10**400, id="int--10**400")])
     @pytest.mark.parametrize("slot", range(6))
     def test_rejects_non_finite_general_parameters(self, bad, slot):
         values = [0.5, 0.3, 1.0, 2.0, 1.5, 1.2]
@@ -74,7 +77,9 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             GeneralHeunParams(*values)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="int-10**400"),
+                                     pytest.param(-10**400, id="int--10**400")])
     @pytest.mark.parametrize("slot", range(5))
     def test_rejects_non_finite_confluent_parameters(self, bad, slot):
         values = [1.0, 1.5, 0.0, 0.5, 2.0]
