@@ -93,8 +93,11 @@ TARGETS: dict[str, Target] = {
             ConfluentHeunParams(args.p, args.gamma, args.delta, args.alpha,
                                 args.sigma), x, opts))}),
     "F": Target(("n",), {
-        m.value: lambda args, x, opts, m=m: _exact(coincidence.eval_F(args.n, x, m))
-        for m in FMethod}, default=FMethod.ESTABLISHED.value, index=True),
+        # the mode sum's own estimate, not the 0 of an exact closed form
+        "definitional": lambda args, x, opts: _result(coincidence._f_definitional(args.n, x)),
+        **{m.value: lambda args, x, opts, m=m: _exact(coincidence.eval_F(args.n, x, m))
+           for m in FMethod if m is not FMethod.DEFINITIONAL}},
+        default=FMethod.ESTABLISHED.value, index=True),
     "G": Target(("n",), {
         m.value: lambda args, x, opts, m=m: _result(coincidence.eval_G(args.n, x, m, opts))
         for m in GMethod}, default=GMethod.ESTABLISHED.value, index=True),
@@ -132,6 +135,10 @@ TARGETS: dict[str, Target] = {
 }
 
 INDICES = tuple(name for name, target in TARGETS.items() if target.index)
+
+# bounds on the work one command may ask for
+_MAX_GRID_POINTS = 100_000
+_MAX_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -181,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in dict.fromkeys(f for t in targets for f in TARGETS[t].flags):
             p.add_argument(f"--{name}",
                            type=int if name in ("n", "j", "i") else _finite_float)
-        p.add_argument("--max-terms", type=int, default=10000)
+        p.add_argument("--max-terms", type=int, default=10000,
+                       help=f"series term budget (default 10000, at most {_MAX_TERMS})")
         p.add_argument("--rel-tol", type=_finite_float, default=1e-15)
 
     def add_point_args(p, func):
@@ -199,15 +207,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="evaluate on a grid")
     add_point_args(p_table, _cmd_table)
-    p_table.add_argument("--grid", required=True,
-                         help="start:stop:step (stop inclusive) or x1,x2,...")
+    grid_help = (f"start:stop:step (stop inclusive) or x1,x2,...; "
+                 f"at most {_MAX_GRID_POINTS} points")
+    p_table.add_argument("--grid", required=True, help=grid_help)
     p_table.add_argument("--output", choices=["csv", "json"], default="csv")
     p_table.add_argument("--path", help="output file (default: stdout)")
 
     p_cross = sub.add_parser("crosscheck",
                              help="compare all routes of a target on a grid")
     add_target_args(p_cross, INDICES)
-    p_cross.add_argument("--grid", required=True)
+    p_cross.add_argument("--grid", required=True, help=grid_help)
     p_cross.add_argument("--tol", type=_finite_float,
                          help="fail (exit 1) if the discrepancy exceeds this")
     p_cross.set_defaults(func=_cmd_crosscheck)
@@ -254,6 +263,8 @@ def _parse_grid(spec: str) -> list[float]:
             raise DomainError(f"cannot parse grid points {spec!r}") from None
         if not points:
             raise DomainError(f"grid {spec!r} has no point")
+        if len(points) > _MAX_GRID_POINTS:
+            raise DomainError(f"grid has more than {_MAX_GRID_POINTS} points")
         return points
     parts = spec.split(":")
     if len(parts) != 3:
@@ -263,11 +274,15 @@ def _parse_grid(spec: str) -> list[float]:
         raise DomainError("grid step must be positive")
     if stop < start:
         raise DomainError("grid stop must not precede start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # int(span) + 1 points; span may be inf
+        raise DomainError(f"grid has more than {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _series_options(args) -> SeriesOptions:
+    if args.max_terms > _MAX_TERMS:
+        raise DomainError(f"--max-terms must be at most {_MAX_TERMS}")
     return SeriesOptions(max_terms=args.max_terms, rel_tol=args.rel_tol)
 
 

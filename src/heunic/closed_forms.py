@@ -13,6 +13,10 @@ holds for integer n >= 0.  The positive family (integers 0 < gamma <= n)
 
 follows from the negative one through the (1 - x/a)-power transformation.
 
+The indices of coincidence are members: at theta = 1/2, gamma = 1 the
+negative family is F_n(x) = sum_k C(n,k) C(2k,k) (x^2-x)^k, the sample
+family is F_n(x) at i = 0, and G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x).
+
 Every float is a dyadic rational p/q, so every closed form at x is one
 integer numerator over one integer denominator.  The integer kernel that
 ``coincidence`` and ``hypergeom`` share, ``_horner`` over a coefficient
@@ -114,22 +118,34 @@ def _ratio_horner(ratios, a: int, e: int) -> tuple[int, int]:
 
 
 def _family_sum(terms: int, theta: tuple[int, int], gamma: tuple[int, int],
-                p: int, q: int) -> tuple[int, int]:
-    """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k (x^2-x)^k at x = p/q.
+                a: int, e: int) -> tuple[int, int]:
+    """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k (a/2^e)^k.
 
-    theta and gamma are integer ratios (numerator, denominator).
+    theta and gamma are integer ratios (numerator, denominator), and
+    a/2^e = x^2 - x.
     """
     tn, td = theta
     gn, gd = gamma
-    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k); q^2 = 2^(2 q.bit_length() - 2)
+    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k)
     return _ratio_horner(((4 * (terms - k) * (tn + k * td) * gd, (k + 1) * td * (gn + k * gd))
-                          for k in reversed(range(terms))), p * (p - q), 2 * q.bit_length() - 2)
+                          for k in reversed(range(terms))), a, e)
+
+
+def _sample_sum(i: int, m: int, a: int, e: int) -> tuple[int, int]:
+    """sum_{j=0}^{m} C(i+j,i) C(2i+2j,i+j)/C(2i,i) C(2m-2j,m-j) (a/2^e)^j
+    over 4^m C(i+m,i), with a/2^e = (1-2x)^2."""
+    # consecutive terms have the ratio (2i+2j+1)(m-j) / ((j+1)(2m-2j-1))
+    num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
+                              for j in reversed(range(m))), a, e)
+    # the j = 0 term is C(2m,m)
+    return math.comb(2 * m, m) * num, 4**m * math.comb(i + m, i) * den
 
 
 def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
     """Closed form of the negative family; defined for every real x."""
+    p, q = x.as_integer_ratio()
     num, den = _family_sum(fp.n, fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio(),
-                           *x.as_integer_ratio())
+                           p * (p - q), 2 * q.bit_length() - 2)
     return num / den
 
 
@@ -153,7 +169,8 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
             "negative base with non-integer exponent has no real value")
     gamma = int(fp.gamma)
     tn, td = fp.theta.as_integer_ratio()
-    num, den = _family_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1), p, q)
+    num, den = _family_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
+                           p * (p - q), 2 * q.bit_length() - 2)
     if not integral:
         return (r / q) ** exponent * (num / den)
     e = int(exponent)
@@ -176,11 +193,6 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
     if not 0 <= i <= n:
         raise DomainError("i must satisfy 0 <= i <= n")
     p, q = x.as_integer_ratio()
-    m = n - i
-    # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}; consecutive terms have the
-    # ratio (2i+2j+1)(m-j) / ((j+1)(2m-2j-1))
-    num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
-                              for j in reversed(range(m))), (2 * p - q) ** 2,
-                             2 * q.bit_length() - 2)
-    # the j = 0 term C(2i,i) C(2m,m) times the scale, (2i)!!/(2i-1)!! = 4^i / C(2i,i)
-    return (math.comb(2 * m, m) * num) / (4**m * math.comb(n, i) * den)
+    # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}, and (2i)!!/(2i-1)!! = 4^i / C(2i,i)
+    num, den = _sample_sum(i, n - i, (2 * p - q) ** 2, 2 * q.bit_length() - 2)
+    return num / den

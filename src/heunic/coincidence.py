@@ -22,10 +22,12 @@ independent evaluation route so they can be cross-validated:
                        sum_i (-1/4)^i C(n-j-1,i) C(2i+2j,i+j)
     G established  sum_j (1+2x)^{2j-2n+1} 4^{1-n} C(2n-2j-2,n-j-1) C(2j,j)
 
-With x = p/q, each closed form is one integer numerator over one integer
-denominator, formed by the exact integer kernel of ``closed_forms`` and
-rounded once.  G_n is (1+2x)^{1-2n} times the F sums of order n-1 taken
-at x^2 + x or (1+2x)^2 in place of x^2 - x or (1-2x)^2.  K_n and its
+F factored is the negative family of ``closed_forms`` at theta = 1/2,
+gamma = 1, F established its sample family at i = 0, and each closed form
+of G is G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x), since (-x)^2 - (-x) = x^2 + x
+and (1 - 2(-x))^2 = (1+2x)^2.  With x = p/q, each closed form is one
+integer numerator over one integer denominator, formed by the exact
+integer kernel of ``closed_forms`` and rounded once.  K_n and its
 derivatives are also available through the integral representation
 
     K_n^(j)(x) = (2/pi) 4^j (-n)^j Int_0^{pi/2} (sin t)^{2j} e^{-4nx sin^2 t} dt,
@@ -40,7 +42,7 @@ import functools
 import math
 from enum import Enum
 
-from .closed_forms import _horner, _ratio_horner
+from .closed_forms import _family_sum, _horner, _sample_sum
 from .errors import DomainError, PoleError
 from .series import _EPS, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
@@ -68,12 +70,15 @@ class EntropyKind(Enum):
 def _require_order(n: int) -> None:
     if n < 1:
         raise DomainError("n must be a positive integer")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError("n is too large for a float") from None
 
 
 # ---------------------------------------------------------------------------
-# Closed-form sums of order m, each as (numerator, denominator) of a
-# polynomial in a/b: a/b is x^2 - x or (1-2x)^2 for F_m, and x^2 + x or
-# (1+2x)^2 for G_{m+1}.  Coefficient tables are cached per order.
+# The closed forms of F_m.  Those of G_{m+1} are the same sums at -x.
+# Coefficient tables are cached per order.
 
 
 @functools.lru_cache(maxsize=32)
@@ -96,30 +101,21 @@ def _expanded_coeffs(m: int) -> tuple[int, ...]:
                  for k in range(m + 1))
 
 
-def _factored(m: int, a: int, e: int) -> tuple[int, int]:
-    """sum_k C(m,k) C(2k,k) (a/2^e)^k."""
-    # consecutive terms have the ratio 2(m-k)(2k+1) / (k+1)^2
-    return _ratio_horner(((2 * (m - k) * (2 * k + 1), (k + 1) ** 2)
-                          for k in reversed(range(m))), a, e)
-
-
-def _power(m: int, a: int, e: int) -> tuple[int, int]:
-    """sum_j (a/2^e)^j 4^-j C(m,j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j)."""
-    num, den = _horner(_power_coeffs(m), a, e)
-    return num, 4**m * den
-
-
-def _established(m: int, a: int, e: int) -> tuple[int, int]:
-    """sum_j (a/2^e)^j 4^-m C(2j,j) C(2m-2j,m-j)."""
-    # consecutive terms have the ratio (2j+1)(m-j) / ((j+1)(2m-2j-1))
-    num, den = _ratio_horner((((2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
-                              for j in reversed(range(m))), a, e)
-    return math.comb(2 * m, m) * num, 4**m * den
-
-
-def _expanded(m: int, a: int, e: int) -> tuple[int, int]:
-    """sum_k (a/2^e)^k 4^(k-m) sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j)."""
-    num, den = _horner(_expanded_coeffs(m), a, e)
+def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
+    """F_m(x) by one of its four closed forms, as (numerator, denominator)."""
+    p, q = x.as_integer_ratio()
+    w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
+    e = 2 * q.bit_length() - 2  # q^2 = 2^e
+    if method is FMethod.FACTORED:  # the negative family at theta = 1/2, gamma = 1
+        return _family_sum(m, (1, 2), (1, 1), w, e)
+    if method is FMethod.ESTABLISHED:  # the sample family at i = 0
+        return _sample_sum(0, m, s, e)
+    if method is FMethod.POWER:
+        num, den = _horner(_power_coeffs(m), s, e)
+    elif method is FMethod.EXPANDED:
+        num, den = _horner(_expanded_coeffs(m), w, e)
+    else:
+        raise DomainError(f"unknown F method {method!r}")
     return num, 4**m * den
 
 
@@ -228,6 +224,7 @@ def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
 
 
 def _f_definitional(n: int, x: float) -> EvalResult:
+    _require_order(n)
     if not 0.0 <= x <= 1.0:
         raise DomainError("the defining sum for F needs 0 <= x <= 1")
     # the weights at 1 - x are those at x reversed; 1 - x is exact here
@@ -245,22 +242,10 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
     The definitional route requires 0 <= x <= 1; the closed forms accept
     any real x.
     """
-    _require_order(n)
     if method is FMethod.DEFINITIONAL:
         return _f_definitional(n, x).value
-    p, q = x.as_integer_ratio()
-    w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
-    e = 2 * q.bit_length() - 2  # q^2 = 2^e
-    if method is FMethod.FACTORED:
-        num, den = _factored(n, w, e)
-    elif method is FMethod.POWER:
-        num, den = _power(n, s, e)
-    elif method is FMethod.ESTABLISHED:
-        num, den = _established(n, s, e)
-    elif method is FMethod.EXPANDED:
-        num, den = _expanded(n, w, e)
-    else:
-        raise DomainError(f"unknown F method {method!r}")
+    _require_order(n)
+    num, den = _closed_form(n, x, method)
     return num / den
 
 
@@ -303,17 +288,10 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     r = q + 2 * p  # 1 + 2x = r/q
     if r == 0:
         raise PoleError("x = -1/2 is a pole of the closed forms for G")
-    v, t = p * (p + q), r * r  # x^2 + x and (1+2x)^2, over q^2
-    e = 2 * q.bit_length() - 2  # q^2 = 2^e
-    if method is GMethod.FACTORED:
-        num, den = _factored(n - 1, v, e)
-    elif method is GMethod.POWER:
-        num, den = _power(n - 1, t, e)
-    elif method is GMethod.ESTABLISHED:
-        num, den = _established(n - 1, t, e)
-    else:
+    if not isinstance(method, GMethod):
         raise DomainError(f"unknown G method {method!r}")
-    # times (1+2x)^(1-2n) = (q/r)^(2n-1), an odd power
+    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and (1+2x)^(1-2n) = (q/r)^(2n-1)
+    num, den = _closed_form(n - 1, -x, FMethod(method.value))
     num, den = num * q ** (2 * n - 1), den * abs(r) ** (2 * n - 1)
     return EvalResult((num if r > 0 else -num) / den, n, True, 0.0)
 

@@ -14,7 +14,9 @@ for the four-singular-point case, and
 
 for the confluent case.  The two recurrences share one shape, and one
 kernel, ``_sum_recurrence``, runs either and sums u and its derivatives
-in the same loop.  Evaluation is refused outside the disk bounded by the
+in the same loop.  Where the direct sum cancels or overflows, one rescue
+path, ``_evaluate``, sums the series of each equation's ``_conjugate``
+times its prefactor.  Evaluation is refused outside the disk bounded by the
 singular point nearest to the origin and for non-finite x; analytic
 continuation is out of scope.
 """
@@ -119,6 +121,19 @@ class GeneralHeunParams:
         a = self.a
         return 1 + a, a * self.delta, self.epsilon, self.q, a, -1.0, -self.beta
 
+    def _conjugate(self, x: float, max_order: int) -> tuple:
+        """(transformed, [f, f', ..., f^(max_order)](x)) with u = f u(transformed)
+        and f = (1 - x/a)^e, positive throughout the disk: the transformed
+        series often stays sign-definite where the direct one cancels."""
+        exponent, transformed = transform_homotopy(self)
+        base = 1.0 - x / self.a
+        pref = []
+        fall = 1.0
+        for i in range(max_order + 1):
+            pref.append(fall * base ** (exponent - i) * (-1.0 / self.a) ** i)
+            fall *= exponent - i
+        return transformed, pref
+
 
 @dataclass(frozen=True)
 class ConfluentHeunParams:
@@ -145,6 +160,17 @@ class ConfluentHeunParams:
         """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
                                    + 4p(k-1+alpha) c_{k-1}"""
         return 1.0, self.delta, -4 * self.p, -self.sigma, 1.0, 0.0, 4 * self.p
+
+    def _conjugate(self, x: float, max_order: int) -> tuple:
+        """(conjugate, [f, f', ..., f^(max_order)](x)) with u = f u(conjugate)
+        and f = e^(-4px): u(p, gamma, delta, alpha, sigma; x) = f u(-p, gamma,
+        delta, gamma+delta-alpha, sigma-4*p*gamma; x), whose series is far
+        better conditioned when 4px is large."""
+        conjugate = ConfluentHeunParams(-self.p, self.gamma, self.delta,
+                                        self.gamma + self.delta - self.alpha,
+                                        self.sigma - 4.0 * self.p * self.gamma)
+        expfac = math.exp(-4.0 * self.p * x)
+        return conjugate, [expfac * (-4.0 * self.p) ** i for i in range(max_order + 1)]
 
 
 def _sum_recurrence(params: GeneralHeunParams | ConfluentHeunParams, x: float,
@@ -255,53 +281,22 @@ def _better(direct: list[EvalResult], rescued: list[EvalResult]) -> list[EvalRes
     return direct if direct[0].error_estimate <= rescued[0].error_estimate else rescued
 
 
-def _eval_general(params: GeneralHeunParams, x: float, opts: SeriesOptions,
-                  max_order: int) -> list[EvalResult]:
-    """Direct series, falling back to the (1 - x/a)-power transformed route.
-
-    The transformed series often stays sign-definite where the direct one
-    cancels catastrophically (detected through the error estimate); the
-    prefactor (1 - x/a)^e is positive throughout the disk.
-    """
+def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
+              opts: SeriesOptions | None, max_order: int) -> list[EvalResult]:
+    """u, ..., u^(max_order) at x by the direct series, falling back to the
+    conjugate series of ``params._conjugate`` times its prefactor where the
+    direct one cancels catastrophically (detected through the error
+    estimate) or overflows."""
+    opts = opts or DEFAULT_OPTIONS
+    _check_disk(x, params.radius)
     direct = _sum_recurrence(params, x, opts, max_order)
     if not _needs_rescue(direct[0], opts):
         return direct
     try:
-        exponent, transformed = transform_homotopy(params)
-    except DomainError:  # the transformed parameters overflow
-        return direct
-    inner = _sum_recurrence(transformed, x, opts, max_order)
-    base = 1.0 - x / params.a
-    pref = []
-    fall = 1.0
-    for i in range(max_order + 1):
-        pref.append(fall * base ** (exponent - i) * (-1.0 / params.a) ** i)
-        fall *= exponent - i
-    return _better(direct, _combine_prefactor(pref, inner, max_order))
-
-
-def _eval_confluent(params: ConfluentHeunParams, x: float, opts: SeriesOptions,
-                    max_order: int) -> list[EvalResult]:
-    """Direct series, falling back to the integrating-factor conjugate
-
-        u(p, gamma, delta, alpha, sigma; x)
-            = e^(-4px) u(-p, gamma, delta, gamma+delta-alpha, sigma-4*p*gamma; x),
-
-    whose series is far better conditioned when 4px is large.
-    """
-    direct = _sum_recurrence(params, x, opts, max_order)
-    if not _needs_rescue(direct[0], opts):
-        return direct
-    p = params
-    try:
-        conjugate = ConfluentHeunParams(-p.p, p.gamma, p.delta,
-                                        p.gamma + p.delta - p.alpha,
-                                        p.sigma - 4.0 * p.p * p.gamma)
+        conjugate, pref = params._conjugate(x, max_order)
     except DomainError:  # the conjugate parameters overflow
         return direct
     inner = _sum_recurrence(conjugate, x, opts, max_order)
-    expfac = math.exp(-4.0 * p.p * x)
-    pref = [expfac * (-4.0 * p.p) ** i for i in range(max_order + 1)]
     return _better(direct, _combine_prefactor(pref, inner, max_order))
 
 
@@ -312,18 +307,14 @@ def eval_heun_local(params: GeneralHeunParams, x: float,
     The slope at the origin is q/(a*gamma).  Raises DomainError outside
     |x| < min(1, |a|).
     """
-    opts = opts or DEFAULT_OPTIONS
-    _check_disk(x, params.radius)
-    return _eval_general(params, x, opts, 0)[0]
+    return _evaluate(params, x, opts, 0)[0]
 
 
 def eval_heun_derivatives(params: GeneralHeunParams, x: float,
                           max_order: int = 1,
                           opts: SeriesOptions | None = None) -> list[EvalResult]:
     """Termwise-differentiated series values [u, u', ..., u^(max_order)](x)."""
-    opts = opts or DEFAULT_OPTIONS
-    _check_disk(x, params.radius)
-    return _eval_general(params, x, opts, max_order)
+    return _evaluate(params, x, opts, max_order)
 
 
 def eval_confluent_heun(params: ConfluentHeunParams, x: float,
@@ -333,18 +324,14 @@ def eval_confluent_heun(params: ConfluentHeunParams, x: float,
     The slope at the origin is -sigma/gamma.  Raises DomainError outside
     |x| < 1.
     """
-    opts = opts or DEFAULT_OPTIONS
-    _check_disk(x, params.radius)
-    return _eval_confluent(params, x, opts, 0)[0]
+    return _evaluate(params, x, opts, 0)[0]
 
 
 def eval_confluent_derivatives(params: ConfluentHeunParams, x: float,
                                max_order: int = 1,
                                opts: SeriesOptions | None = None) -> list[EvalResult]:
     """Termwise-differentiated confluent series values at x."""
-    opts = opts or DEFAULT_OPTIONS
-    _check_disk(x, params.radius)
-    return _eval_confluent(params, x, opts, max_order)
+    return _evaluate(params, x, opts, max_order)
 
 
 def heun_slope_at_origin(params: GeneralHeunParams) -> float:

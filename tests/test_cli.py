@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from heunic import FMethod, coincidence, eval_F
-from heunic.cli import TARGETS, ExitReport, emit_table, run
+from heunic import DomainError, FMethod, coincidence, eval_F
+from heunic.cli import TARGETS, ExitReport, _parse_grid, emit_table, run
 
 
 def invoke(argv):
@@ -137,7 +137,7 @@ class TestRobustness:
         def overflow(*args):
             raise OverflowError("int too large to convert to float")
 
-        monkeypatch.setattr(coincidence, "eval_F", overflow)
+        monkeypatch.setattr(coincidence, "_f_definitional", overflow)
         report, out, err = invoke(["eval", "--target", "F", "--n", "2000",
                                    "--x", "0.3", "--method", "definitional"])
         assert report.code == 3
@@ -158,6 +158,39 @@ class TestRobustness:
         assert report.code == 2
         assert out == ""
         assert "too large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--target", "K"],
+        ["eval", "--target", "K", "--method", "quadrature"],
+        ["eval", "--target", "F", "--method", "definitional"],
+        ["eval", "--target", "G", "--method", "definitional"],
+        ["eval", "--target", "Kderiv", "--j", "1"],
+    ], ids=lambda argv: "-".join(argv[2:]))
+    def test_order_beyond_float_range_is_usage_error(self, argv):
+        report, out, err = invoke([*argv, "--n", "1" + "0" * 330, "--x", "0.3"])
+        assert report.code == 2
+        assert out == ""
+        assert "too large" in err
+
+    @pytest.mark.parametrize("target", ["F", "G"])
+    def test_closed_form_beyond_float_range_is_usage_error(self, target):
+        # in a subprocess: an unchecked closed form at this n would not finish
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["eval", "--target", target, "--n", "1" + "0" * 330, "--x", "0.3"]
+        proc = subprocess.run([sys.executable, "-m", "heunic.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "too large" in proc.stderr
+
+    def test_max_terms_cap_is_usage_error(self):
+        argv = ["eval", "--target", "K", "--n", "3", "--x", "0.3", "--max-terms"]
+        report, out, err = invoke([*argv, "1000001"])
+        assert report.code == 2
+        assert out == ""
+        assert "--max-terms" in err
+        assert invoke([*argv, "1000000"])[0].code == 0
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--target", "heun", *POINTS["heun"][:-1], "nan"],
@@ -245,6 +278,35 @@ class TestTable:
         assert spaced[0].code == joined[0].code == 0
         assert spaced[1:] == joined[1:]
         assert spaced[1].count("-0.") >= 1
+
+    @pytest.mark.parametrize("command", ["table", "crosscheck"])
+    def test_grid_point_cap_is_usage_error(self, command):
+        # 0:1:1e-6 asks for 1 000 001 points
+        report, out, err = invoke([command, "--target", "F", "--n", "3",
+                                   "--grid", "0:1:1e-6"])
+        assert report.code == 2
+        assert out == ""
+        assert "100000 points" in err
+
+    def test_grid_point_cap_boundary(self):
+        assert len(_parse_grid("0:0.99999:1e-5")) == 100_000
+        with pytest.raises(DomainError, match="100000 points"):
+            _parse_grid("0:1:1e-5")
+        with pytest.raises(DomainError, match="100000 points"):
+            _parse_grid("0:1:1e-300")
+
+    def test_definitional_F_reports_its_estimate(self):
+        grid = "0.3,0.7,0.123,0.5,0.9"
+        report, out, _ = invoke(["table", "--target", "F", "--n", "50",
+                                 "--grid", grid, "--method", "definitional"])
+        assert report.code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        for row in rows:
+            estimate = float(row["error_estimate"])
+            exact = eval_F(50, float(row["x"]), FMethod.ESTABLISHED)
+            assert estimate > 0.0
+            assert abs(float(row["value"]) - exact) <= estimate
 
     def test_bad_grid_is_usage_error(self):
         report, _, _ = invoke(["table", "--target", "K", "--n", "1",

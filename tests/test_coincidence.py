@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from heunic import (
     ConfluentHeunParams,
     DomainError,
+    FamilyParamsNeg,
     EntropyKind,
     FMethod,
     GMethod,
@@ -18,12 +19,14 @@ from heunic import (
     entropy,
     eval_confluent_heun,
     eval_F,
+    eval_family_negative,
     eval_G,
     eval_HC_family,
     eval_K,
     eval_K_derivative,
     k_derivative_quadrature,
 )
+from heunic.closed_forms import eval_sample_family
 from heunic.coincidence import _gauss_legendre_quarter
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
@@ -62,6 +65,20 @@ class TestF:
         with pytest.raises(DomainError):
             eval_F(0, 0.5, FMethod.FACTORED)
 
+    @pytest.mark.parametrize("method", ["factored", GMethod.FACTORED, None])
+    def test_unknown_method_is_domain_error(self, method):
+        with pytest.raises(DomainError, match="unknown F method"):
+            eval_F(3, 0.2, method)
+
+    @pytest.mark.parametrize("x", [0.3, -1.75, 2.5, 1e-300])
+    @pytest.mark.parametrize("n", [1, 6, 40])
+    def test_closed_forms_are_family_members(self, n, x):
+        # F factored is the negative family at theta = 1/2, gamma = 1, and
+        # F established the sample family at i = 0: the same exact values
+        assert eval_F(n, x, FMethod.FACTORED) == eval_family_negative(
+            FamilyParamsNeg(n, 0.5, 1.0), x)
+        assert eval_F(n, x, FMethod.ESTABLISHED) == eval_sample_family(n, 0, x)
+
     @pytest.mark.parametrize("n", [1, 3, 7, 12])
     def test_routes_agree(self, n):
         for i in range(11):
@@ -96,6 +113,20 @@ class TestG:
         oracle = negative_binomial_square_sum(2, 1.0)
         assert eval_G(2, 1.0, GMethod.DEFINITIONAL).value == pytest.approx(
             oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["factored", FMethod.EXPANDED, None])
+    def test_unknown_method_is_domain_error(self, method):
+        with pytest.raises(DomainError, match="unknown G method"):
+            eval_G(3, 0.2, method)
+
+    @pytest.mark.parametrize("method", [GMethod.FACTORED, GMethod.POWER, GMethod.ESTABLISHED])
+    @pytest.mark.parametrize("x", [0.3, -0.7, 2.5, -3.25])
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    def test_closed_forms_reflect_F(self, n, x, method):
+        # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x); F_0 = 1
+        f = eval_F(n - 1, -x, FMethod(method.value)) if n > 1 else 1.0
+        expected = (1 + 2 * x) ** (1 - 2 * n) * f
+        assert eval_G(n, x, method).value == pytest.approx(expected, rel=1e-13)
 
     def test_definitional_requires_nonnegative_x(self):
         with pytest.raises(DomainError):

@@ -140,18 +140,13 @@ def corpus(seed, count):
         yield params, x, rng.choice(OPTIONS), rng.randrange(4)
 
 
-def route(params):
-    return (series._eval_general if isinstance(params, GeneralHeunParams)
-            else series._eval_confluent)
-
-
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_routes_bit_identical_to_generator_engine(seed, monkeypatch):
     points = list(corpus(seed, 1100))
-    fused = [repr(route(p)(p, x, opts, m)) for p, x, opts, m in points]
+    fused = [repr(series._evaluate(p, x, opts, m)) for p, x, opts, m in points]
     calls = []
 
     def counting_ref(params, x, opts, max_order):
@@ -162,7 +157,7 @@ def test_routes_bit_identical_to_generator_engine(seed, monkeypatch):
     rescued = 0
     for (p, x, opts, m), got in zip(points, fused):
         calls.clear()
-        assert got == repr(route(p)(p, x, opts, m)), (p, x, opts, m)
+        assert got == repr(series._evaluate(p, x, opts, m)), (p, x, opts, m)
         rescued += len(calls) == 2
     # both the direct and the rescued path are exercised, at every order
     assert 100 < rescued < len(points) - 100
@@ -192,6 +187,6 @@ def test_overflowing_coefficients_abort_identically(max_order, monkeypatch):
         got = series._sum_recurrence(params, x, opts, max_order)
         assert repr(got) == repr(ref_kernel(params, x, opts, max_order))
         assert not got[0].converged and got[0].terms_used < 200
-    fused = [repr(series._eval_general(params, x, opts, max_order)) for x in xs]
+    fused = [repr(series._evaluate(params, x, opts, max_order)) for x in xs]
     monkeypatch.setattr(series, "_sum_recurrence", ref_kernel)
-    assert fused == [repr(series._eval_general(params, x, opts, max_order)) for x in xs]
+    assert fused == [repr(series._evaluate(params, x, opts, max_order)) for x in xs]
