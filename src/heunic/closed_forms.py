@@ -117,6 +117,38 @@ def _ratio_horner(ratios, a: int, e: int) -> tuple[int, int]:
     return (num, den) if den > 0 else (-num, -den)
 
 
+# Budgets that keep an exact closed form under about a second (0.9 s at
+# most on a 2-vCPU VM): a table of order m costs about m^3 bit operations
+# (0.4 s at m = 400), and a sum of K terms whose integers grow by b bits
+# a term costs about (K b)^2.
+_TABLE_ORDER = 400
+_SUM_WORK = 5e11
+
+
+def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool = False,
+                   remedy: str = "") -> tuple[int, int]:
+    """x as its integer ratio (p, q), after refusing with DomainError a
+    non-finite x and a closed form of ``terms`` terms past its budget; a
+    term adds about 2 max(bits(p), bits(q)) + 2 bits(terms) bits and the
+    bits of the parameters' integer ratios ``params``."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+    p, q = x.as_integer_ratio()
+    bits = (2 * max(p.bit_length(), q.bit_length()) + 2 * terms.bit_length()
+            + sum(abs(v).bit_length() for ratio in params for v in ratio))
+    if (table and terms > _TABLE_ORDER) or (terms * bits) ** 2 > _SUM_WORK:
+        raise DomainError(f"an exact closed form of {terms} terms of {bits} bits "
+                          f"is past its work budget{remedy}")
+    return p, q
+
+
+def _times_power(num: int, den: int, r: int, q: int, k: int) -> float:
+    """(num/den) (r/q)^k for any integer k, rounded once by ``int / int``."""
+    if k < 0:
+        r, q, k = q, r, -k
+    return num * r**k / (den * q**k)
+
+
 def _family_sum(terms: int, theta: tuple[int, int], gamma: tuple[int, int],
                 a: int, e: int) -> tuple[int, int]:
     """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k (a/2^e)^k.
@@ -143,9 +175,9 @@ def _sample_sum(i: int, m: int, a: int, e: int) -> tuple[int, int]:
 
 def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
     """Closed form of the negative family; defined for every real x."""
-    p, q = x.as_integer_ratio()
-    num, den = _family_sum(fp.n, fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio(),
-                           p * (p - q), 2 * q.bit_length() - 2)
+    theta, gamma = fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio()
+    p, q = _checked_ratio(x, fp.n, theta, gamma)
+    num, den = _family_sum(fp.n, theta, gamma, p * (p - q), 2 * q.bit_length() - 2)
     return num / den
 
 
@@ -158,7 +190,9 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
     exponent keeps the prefactor exact; otherwise the two factors are
     rounded apart and multiplied.
     """
-    p, q = x.as_integer_ratio()
+    gamma = int(fp.gamma)
+    tn, td = fp.theta.as_integer_ratio()
+    p, q = _checked_ratio(x, fp.n - gamma, (tn, td), (gamma, 1))
     exponent = -2.0 * (fp.n - fp.gamma + fp.theta)
     r = q - 2 * p  # 1 - 2x = r/q
     if r == 0 and exponent < 0:
@@ -167,17 +201,11 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
     if r < 0 and not integral:
         raise DomainError(
             "negative base with non-integer exponent has no real value")
-    gamma = int(fp.gamma)
-    tn, td = fp.theta.as_integer_ratio()
     num, den = _family_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
                            p * (p - q), 2 * q.bit_length() - 2)
     if not integral:
         return (r / q) ** exponent * (num / den)
-    e = int(exponent)
-    if e >= 0:
-        return (num * r**e) / (den * q**e)
-    num, den = num * q**-e, den * r**-e
-    return num / den if den > 0 else -num / -den
+    return _times_power(num, den, r, q, int(exponent))
 
 
 def eval_sample_family(n: int, i: int, x: float) -> float:
@@ -192,7 +220,7 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
         raise DomainError("n must be a positive integer")
     if not 0 <= i <= n:
         raise DomainError("i must satisfy 0 <= i <= n")
-    p, q = x.as_integer_ratio()
+    p, q = _checked_ratio(x, n - i)
     # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}, and (2i)!!/(2i-1)!! = 4^i / C(2i,i)
     num, den = _sample_sum(i, n - i, (2 * p - q) ** 2, 2 * q.bit_length() - 2)
     return num / den

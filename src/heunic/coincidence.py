@@ -42,7 +42,7 @@ import functools
 import math
 from enum import Enum
 
-from .closed_forms import _family_sum, _horner, _sample_sum
+from .closed_forms import _checked_ratio, _family_sum, _horner, _sample_sum, _times_power
 from .errors import DomainError, PoleError
 from .series import _EPS, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
@@ -103,7 +103,8 @@ def _expanded_coeffs(m: int) -> tuple[int, ...]:
 
 def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
     """F_m(x) by one of its four closed forms, as (numerator, denominator)."""
-    p, q = x.as_integer_ratio()
+    p, q = _checked_ratio(x, m, table=method in (FMethod.POWER, FMethod.EXPANDED),
+                          remedy="; use --method definitional")
     w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
     e = 2 * q.bit_length() - 2  # q^2 = 2^e
     if method is FMethod.FACTORED:  # the negative family at theta = 1/2, gamma = 1
@@ -284,16 +285,14 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     opts = opts or DEFAULT_OPTIONS
     if method is GMethod.DEFINITIONAL:
         return _g_definitional(n, x, opts)
-    p, q = x.as_integer_ratio()
-    r = q + 2 * p  # 1 + 2x = r/q
-    if r == 0:
+    if x == -0.5:
         raise PoleError("x = -1/2 is a pole of the closed forms for G")
     if not isinstance(method, GMethod):
         raise DomainError(f"unknown G method {method!r}")
-    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and (1+2x)^(1-2n) = (q/r)^(2n-1)
     num, den = _closed_form(n - 1, -x, FMethod(method.value))
-    num, den = num * q ** (2 * n - 1), den * abs(r) ** (2 * n - 1)
-    return EvalResult((num if r > 0 else -num) / den, n, True, 0.0)
+    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and (1+2x)^(1-2n) = (q/r)^(2n-1)
+    p, q = x.as_integer_ratio()
+    return EvalResult(_times_power(num, den, q, q + 2 * p, 2 * n - 1), n, True, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +408,14 @@ def _k_derivative_scaled(n: int, j: int, x: float, nodes: int) -> float:
     return (2.0 / math.pi) * 4**j * integral
 
 
+def _check_quadrature(n: int, j: int, x: float) -> None:
+    _require_order(n)
+    if j < 0:
+        raise DomainError("derivative order j must be nonnegative")
+    if not x >= 0.0:
+        raise DomainError("the integral representation needs x >= 0")
+
+
 def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
     """K_n^(j)(x) by 64-node quadrature doubled once for an error estimate.
 
@@ -416,11 +423,7 @@ def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
     the estimate carries a floor of a few roundings of the value, since
     both rules agree to the last bit wherever the integrand is smooth.
     """
-    _require_order(n)
-    if j < 0:
-        raise DomainError("derivative order j must be nonnegative")
-    if x < 0.0:
-        raise DomainError("the integral representation needs x >= 0")
+    _check_quadrature(n, j, x)
     sign = (-1.0) ** j * float(n) ** j
     coarse = sign * _k_derivative_scaled(n, j, x, 64)
     fine = sign * _k_derivative_scaled(n, j, x, 128)
@@ -442,11 +445,7 @@ def eval_HC_family(n: int, j: int, x: float) -> float:
     Computed as K_n^(j)(x) normalized by its x = 0 value (-n)^j C(2j,j);
     the sign factors cancel, leaving a positive integral.
     """
-    _require_order(n)
-    if j < 0:
-        raise DomainError("derivative order j must be nonnegative")
-    if x < 0.0:
-        raise DomainError("the integral representation needs x >= 0")
+    _check_quadrature(n, j, x)
     return _k_derivative_scaled(n, j, x, 128) / math.comb(2 * j, j)
 
 

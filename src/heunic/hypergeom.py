@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .closed_forms import _horner, pochhammer
+from .closed_forms import _horner, _times_power, pochhammer
 from .errors import DivergentSeriesError, DomainError
 from .series import (
     _EPS,
@@ -48,6 +48,12 @@ class Gauss2F1Params:
     @property
     def terminates(self) -> bool:
         return _is_nonpositive_integer(self.a) or _is_nonpositive_integer(self.b)
+
+    def _recurrence(self) -> tuple:
+        """Gauss's equation is the confluent one at p = 0, with (gamma, delta,
+        sigma) = (c, a+b+1-c, -ab): (k+1)(k+c) c_{k+1} = (k+a)(k+b) c_k."""
+        a, b, c = self.a, self.b, self.c
+        return 1.0, a + b + 1.0 - c, 0.0, a * b, 1.0, 0.0, 0.0, c, 0.0
 
 
 @dataclass(frozen=True)
@@ -193,8 +199,8 @@ def eval_hl_hypergeometric(q: float, x: float,
     if base < 0.0 and not float(exponent).is_integer():
         raise DomainError(
             "no real branch beyond x = 1/2 for non-integer exponent")
-    prefactor = base**exponent if base > 0.0 else float(
-        Fraction(base) ** int(exponent))
+    prefactor = base**exponent if base > 0.0 else _times_power(
+        1, 1, *base.as_integer_ratio(), int(exponent))
     z = 4.0 * x * (1.0 - x)
     scale = 1.0
     if z < 0.0:

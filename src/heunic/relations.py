@@ -23,19 +23,18 @@ from .errors import UnknownRelationError
 from .hypergeom import Gauss2F1Params, gauss_2f1
 from .series import (
     _EPS,
-    _STREAK,
     ConfluentHeunParams,
     GeneralHeunParams,
     SeriesOptions,
-    eval_confluent_derivatives,
-    eval_confluent_heun,
-    eval_heun_derivatives,
-    eval_heun_local,
+    _evaluate,
+    _sum_recurrence,
     transform_homotopy,
 )
 
 # tight truncation for the checks themselves
 _OPTS = SeriesOptions(max_terms=6000, rel_tol=5e-15)
+# rel_5_2's left side can cancel, so its Gauss series is summed to full precision
+_GAUSS_OPTS = SeriesOptions(max_terms=6000, rel_tol=_EPS)
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -54,12 +53,10 @@ def _pair_from_sum_product(total: float, product: float) -> tuple[float, float]:
     return (total + root) / 2.0, (total - root) / 2.0
 
 
-def _heun_derivative(params: GeneralHeunParams, x: float) -> float:
-    return eval_heun_derivatives(params, x, 1, _OPTS)[1].value
-
-
-def _confluent_derivative(params: ConfluentHeunParams, x: float) -> float:
-    return eval_confluent_derivatives(params, x, 1, _OPTS)[1].value
+def _solution(params: GeneralHeunParams | ConfluentHeunParams, x: float,
+              order: int = 0) -> float:
+    """u^(order)(x) for either Heun equation, at the suite's truncation."""
+    return _evaluate(params, x, _OPTS, order)[order].value
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +74,7 @@ def derivative_raised_sides(a: float, alpha: float, beta: float, gamma: float,
     """
     params = GeneralHeunParams(a, a * alpha * beta, alpha, beta, gamma, delta)
     eps = params.epsilon
-    lhs = _heun_derivative(params, x)
+    lhs = _solution(params, x, 1)
     q1 = a * (alpha * beta + gamma + delta) + gamma + eps + 1.0
     if explicit_pair:
         a1, b1 = alpha + 2.0, beta + 2.0
@@ -85,8 +82,7 @@ def derivative_raised_sides(a: float, alpha: float, beta: float, gamma: float,
         a1, b1 = _pair_from_sum_product(gamma + delta + eps + 3.0,
                                         alpha * beta + 2.0 * (gamma + delta + eps + 1.0))
     raised = GeneralHeunParams(a, q1, a1, b1, gamma + 1.0, delta + 1.0)
-    rhs = (alpha * beta / gamma) * (1.0 - x / a) \
-        * eval_heun_local(raised, x, _OPTS).value
+    rhs = (alpha * beta / gamma) * (1.0 - x / a) * _solution(raised, x)
     return lhs, rhs
 
 
@@ -95,13 +91,12 @@ def derivative_reflected_sides(a: float, alpha: float, beta: float, gamma: float
     """Same derivative against the route with prefactor (1 - x/a)^(-epsilon)."""
     params = GeneralHeunParams(a, a * alpha * beta, alpha, beta, gamma, delta)
     eps = params.epsilon
-    lhs = _heun_derivative(params, x)
+    lhs = _solution(params, x, 1)
     q2 = a * (alpha * beta + gamma + delta) - gamma * eps
     a2, b2 = _pair_from_sum_product(gamma + delta - eps + 1.0,
                                     alpha * beta + (gamma + delta) * (1.0 - eps))
     raised = GeneralHeunParams(a, q2, a2, b2, gamma + 1.0, delta + 1.0)
-    rhs = (alpha * beta / gamma) * (1.0 - x / a) ** (-eps) \
-        * eval_heun_local(raised, x, _OPTS).value
+    rhs = (alpha * beta / gamma) * (1.0 - x / a) ** (-eps) * _solution(raised, x)
     return lhs, rhs
 
 
@@ -114,7 +109,7 @@ def derivative_half_sides(alpha: float, beta: float, gamma: float, x: float,
     (1-2x)^(2*gamma - alpha - beta - 1).
     """
     params = GeneralHeunParams(0.5, alpha * beta / 2.0, alpha, beta, gamma, gamma)
-    lhs = _heun_derivative(params, x)
+    lhs = _solution(params, x, 1)
     if not reflected:
         a1, b1 = alpha + 2.0, beta + 2.0
         prefactor = (alpha * beta / gamma) * (1.0 - 2.0 * x)
@@ -123,7 +118,7 @@ def derivative_half_sides(alpha: float, beta: float, gamma: float, x: float,
         prefactor = (alpha * beta / gamma) \
             * (1.0 - 2.0 * x) ** (2.0 * gamma - alpha - beta - 1.0)
     raised = GeneralHeunParams(0.5, a1 * b1 / 2.0, a1, b1, gamma + 1.0, gamma + 1.0)
-    return lhs, prefactor * eval_heun_local(raised, x, _OPTS).value
+    return lhs, prefactor * _solution(raised, x)
 
 
 def _raised_confluent(p: float, gamma: float,
@@ -145,11 +140,11 @@ def confluent_derivative_sides(p: float, gamma: float, alpha: float, x: float,
     Route two:  (4*p*alpha/gamma)(x-1) u(p, gamma+1, 2, alpha+2, 4p(alpha+1)-gamma-1).
     """
     sigma = 4.0 * p * alpha
-    lhs = _confluent_derivative(ConfluentHeunParams(p, gamma, 0.0, alpha, sigma), x)
+    lhs = _solution(ConfluentHeunParams(p, gamma, 0.0, alpha, sigma), x, 1)
     first, second = _raised_confluent(p, gamma, alpha)
     if not second_route:
-        return lhs, -(sigma / gamma) * eval_confluent_heun(first, x, _OPTS).value
-    return lhs, (sigma / gamma) * (x - 1.0) * eval_confluent_heun(second, x, _OPTS).value
+        return lhs, -(sigma / gamma) * _solution(first, x)
+    return lhs, (sigma / gamma) * (x - 1.0) * _solution(second, x)
 
 
 def confluent_route_equality_sides(p: float, gamma: float, alpha: float,
@@ -160,57 +155,21 @@ def confluent_route_equality_sides(p: float, gamma: float, alpha: float,
         = (1-x) u(p, gamma+1, 2, alpha+2, 4p(alpha+1)-gamma-1; x).
     """
     first, second = _raised_confluent(p, gamma, alpha)
-    return (eval_confluent_heun(first, x, _OPTS).value,
-            (1.0 - x) * eval_confluent_heun(second, x, _OPTS).value)
+    return _solution(first, x), (1.0 - x) * _solution(second, x)
 
 
 def k_slope_sides(n: int, x: float) -> tuple[float, float]:
     """u(n, 2, 2, 5/2, 6n-2; x) against K_n'(x)/(2n(x-1))."""
     params = ConfluentHeunParams(n, 2.0, 2.0, 2.5, 6.0 * n - 2.0)
-    lhs = eval_confluent_heun(params, x, _OPTS).value
+    lhs = _solution(params, x)
     rhs = eval_K_derivative(n, 1, x) / (2.0 * n * (x - 1.0))
     return lhs, rhs
 
 
 def homotopy_sides(params: GeneralHeunParams, x: float) -> tuple[float, float]:
     """Both sides of the (1 - x/a)-power transformation."""
-    lhs = eval_heun_local(params, x, _OPTS).value
     exponent, transformed = transform_homotopy(params)
-    rhs = (1.0 - x / params.a) ** exponent \
-        * eval_heun_local(transformed, x, _OPTS).value
-    return lhs, rhs
-
-
-def _gauss_derivatives(a: float, b: float, c: float, m: int, x: float) -> list[float]:
-    """[f, f', ..., f^(m)](x) for f = 2F1(a, b; c; x), termwise, in one pass.
-
-    The Gauss coefficients are formed as the pass goes; f^(i) gathers
-    coef_j j(j-1)...(j-i+1) x^(j-i).  The pass stops, as the series
-    kernel does, once every order had _STREAK terms in a row below
-    machine epsilon times its partial sum, or at max_terms: the Leibniz
-    sum can cancel, so the derivatives are summed to full precision.
-    """
-    tol = _EPS
-    sums = [1.0] + [0.0] * m
-    xpow = [1.0] * (m + 1)  # xpow[i] == x^(j - i), read for i <= j
-    coef = 1.0
-    streak = 0
-    j = 0
-    while streak < _STREAK and j + 1 < _OPTS.max_terms:
-        coef *= (a + j) * (b + j) / ((c + j) * (j + 1))
-        xpow.insert(0, x * xpow[0])
-        xpow.pop()
-        j += 1
-        small = j >= m
-        fall = 1.0  # j(j-1)...(j-i+1)
-        for i in range(min(m, j) + 1):
-            term = coef * fall * xpow[i]
-            sums[i] += term
-            if abs(term) > tol * abs(sums[i]):
-                small = False
-            fall *= j - i
-        streak = streak + 1 if small else 0
-    return sums
+    return _solution(params, x), (1.0 - x / params.a) ** exponent * _solution(transformed, x)
 
 
 def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
@@ -221,18 +180,16 @@ def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
     By Leibniz's rule with s = a+m-1 the left side is
     sum_i C(m,i) (-1)^i (s-i+1)_i (1-x)^(m-i) f^(m-i)(x), the weight
     (1-x)^(1-a) folded into the power of (1-x); f, ..., f^(m) come from
-    one termwise pass over the Gauss series, independent of
-    ``gauss_2f1``, which evaluates the right side.
+    the series kernel, which runs the Gauss recurrence of
+    ``Gauss2F1Params._recurrence`` and sums every order in one loop.  The
+    right side is evaluated by ``gauss_2f1``, an independent engine.
     """
-    f = _gauss_derivatives(a, b, c, m, x)
+    f = [r.value for r in _sum_recurrence(Gauss2F1Params(a, b, c), x, _GAUSS_OPTS, m)]
     s = a + m - 1.0
     lhs = sum(math.comb(m, i) * (-1) ** i * pochhammer(s - i + 1.0, i)
               * (1.0 - x) ** (m - i) * f[m - i]
               for i in range(m + 1))
-    poch_a = pochhammer(a, m)
-    poch_cb = pochhammer(c - b, m)
-    poch_c = pochhammer(c, m)
-    rhs = (-1.0) ** m * poch_a * poch_cb / poch_c \
+    rhs = (-1.0) ** m * pochhammer(a, m) * pochhammer(c - b, m) / pochhammer(c, m) \
         * gauss_2f1(Gauss2F1Params(a + m, b, c + m), x, _OPTS).value
     return lhs, rhs
 

@@ -12,13 +12,14 @@ for the four-singular-point case, and
     u'' + (4p + gamma/x + delta/(x-1)) u'
         + (4*p*alpha*x - sigma) / (x(x-1)) u = 0
 
-for the confluent case.  The two recurrences share one shape, and one
-kernel, ``_sum_recurrence``, runs either and sums u and its derivatives
-in the same loop.  Where the direct sum cancels or overflows, one rescue
-path, ``_evaluate``, sums the series of each equation's ``_conjugate``
-times its prefactor.  Evaluation is refused outside the disk bounded by the
-singular point nearest to the origin and for non-finite x; analytic
-continuation is out of scope.
+for the confluent case, which at p = 0 is Gauss's hypergeometric equation
+with (gamma, delta, sigma) = (c, a+b+1-c, -ab).  One kernel,
+``_sum_recurrence``, runs these three recurrences and sums the solution
+and its derivatives in the same loop.  Where a Heun sum cancels or
+overflows, one rescue path, ``_evaluate``, sums the series of the
+equation's ``_conjugate`` times its prefactor.  Evaluation is refused
+outside the disk bounded by the singular point nearest to the origin and
+for non-finite x; analytic continuation is out of scope.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class GeneralHeunParams:
         """a(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)(1+a) + a*delta + epsilon) + q] c_k
                                      - (k-1+alpha)(k-1+beta) c_{k-1}"""
         a = self.a
-        return 1 + a, a * self.delta, self.epsilon, self.q, a, -1.0, -self.beta
+        return (1 + a, a * self.delta, self.epsilon, self.q, a, -1.0, -self.beta,
+                self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
         """(transformed, [f, f', ..., f^(max_order)](x)) with u = f u(transformed)
@@ -159,7 +161,8 @@ class ConfluentHeunParams:
     def _recurrence(self) -> tuple:
         """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
                                    + 4p(k-1+alpha) c_{k-1}"""
-        return 1.0, self.delta, -4 * self.p, -self.sigma, 1.0, 0.0, 4 * self.p
+        return (1.0, self.delta, -4 * self.p, -self.sigma, 1.0, 0.0, 4 * self.p,
+                self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
         """(conjugate, [f, f', ..., f^(max_order)](x)) with u = f u(conjugate)
@@ -173,25 +176,25 @@ class ConfluentHeunParams:
         return conjugate, [expfac * (-4.0 * self.p) ** i for i in range(max_order + 1)]
 
 
-def _sum_recurrence(params: GeneralHeunParams | ConfluentHeunParams, x: float,
-                    opts: SeriesOptions, max_order: int) -> list[EvalResult]:
+def _sum_recurrence(params, x: float, opts: SeriesOptions,
+                    max_order: int) -> list[EvalResult]:
     """Run the three-term recurrence and sum u, ..., u^(max_order) in one loop.
 
-    Both equations give c_0 = 1, d*gamma*c_1 = v and, for k >= 1,
+    Every equation gives c_0 = 1, d*gamma*c_1 = v and, for k >= 1,
 
         d(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)s + t + u) + v] c_k
                                   + (k-1+alpha)(rho(k-1) + w) c_{k-1}
 
-    with the constants of ``params._recurrence()``.  Summation stops once
-    every tracked derivative had _STREAK consecutive terms below rel_tol
-    times its partial sum.  Coefficients can overflow doubles long before
-    the terms matter: a non-finite one ends the sum unconverged, so the
-    caller can reroute through its conjugate series.  Error estimates
+    with the nine constants (s, t, u, v, d, rho, w, gamma, alpha) of
+    ``params._recurrence()``, all that is read from ``params``.  Summation
+    stops once every tracked derivative had _STREAK consecutive terms below
+    rel_tol times its partial sum.  Coefficients can overflow doubles long
+    before the terms matter: a non-finite one ends the sum unconverged, so
+    the caller can reroute through its conjugate series.  Error estimates
     include a cancellation floor of machine epsilon times the sum of
     absolute terms.
     """
-    s, t, u, v, d, rho, w = params._recurrence()
-    gamma, alpha = params.gamma, params.alpha
+    s, t, u, v, d, rho, w, gamma, alpha = params._recurrence()
     tol, last_k = opts.rel_tol, opts.max_terms - 1
     # the c_0 = 1 term is already summed; xk == x^k for the c_k in hand
     total = abs_total = last = 1.0
@@ -294,7 +297,7 @@ def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
         return direct
     try:
         conjugate, pref = params._conjugate(x, max_order)
-    except DomainError:  # the conjugate parameters overflow
+    except (DomainError, ArithmeticError):  # its parameters or prefactor overflow
         return direct
     inner = _sum_recurrence(conjugate, x, opts, max_order)
     return _better(direct, _combine_prefactor(pref, inner, max_order))

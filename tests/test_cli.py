@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,40 @@ class TestRobustness:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "too large" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--target", "F", "--n", "100000000", "--x", "0.3"],
+        ["--target", "F", "--n", "100000000", "--x", "0.3", "--method", "factored"],
+        ["--target", "G", "--n", "100000000", "--x", "0.3"],
+        ["--target", "F", "--n", "1000", "--x", "0.3", "--method", "power"],
+    ], ids=lambda argv: "-".join(argv[1::2]))
+    def test_closed_form_past_its_budget_is_usage_error(self, argv):
+        # in a subprocess: an unbudgeted closed form here runs for seconds to hours
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "heunic.cli", "eval", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--method definitional" in proc.stderr
+        start = time.perf_counter()
+        assert invoke(["eval", *argv])[0].code == 2
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--target", "confluent", "--p", "-1000", "--gamma", "1", "--delta", "1",
+         "--alpha", "1", "--sigma", "1", "--grid", "-0.95:0.95:0.05"],
+        ["eval", "--target", "confluent", "--p", "1e200", "--gamma", "1", "--delta", "1",
+         "--alpha", "1", "--sigma", "2e200", "--x", "-0.5"],
+        ["eval", "--target", "heun", "--a", "0.5", "--q", "1", "--alpha", "400",
+         "--beta", "400", "--gamma", "1", "--delta", "1", "--x", "0.49"],
+    ], ids=["confluent-table", "confluent-eval", "heun-eval"])
+    def test_overflowing_rescue_prefactor_keeps_the_direct_sum(self, argv):
+        report, out, err = invoke(argv)
+        assert out != ""
+        assert "numerical failure" not in err
+        if argv[0] == "table":
+            assert len(out.splitlines()) == 1 + 39
 
     def test_max_terms_cap_is_usage_error(self):
         argv = ["eval", "--target", "K", "--n", "3", "--x", "0.3", "--max-terms"]

@@ -273,6 +273,13 @@ class TestKDerivative:
         with pytest.raises(DomainError):
             eval_K_derivative(1, -1, 0.1)
 
+    def test_nan_is_a_domain_error(self):
+        for call in (lambda: k_derivative_quadrature(3, 0, math.nan),
+                     lambda: eval_K_derivative(3, 1, math.nan),
+                     lambda: eval_HC_family(3, 1, math.nan)):
+            with pytest.raises(DomainError):
+                call()
+
 
 def _legendre_rule_reference(nodes):
     """Sorted (sin^2 t, weight) on [0, pi/2] from Newton on P_nodes at 40 digits."""

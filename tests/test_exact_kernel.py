@@ -30,6 +30,7 @@ from heunic import (
     harmonic,
     pochhammer,
 )
+from heunic.closed_forms import _times_power
 
 F_CLOSED = [m for m in FMethod if m is not FMethod.DEFINITIONAL]
 G_CLOSED = [m for m in GMethod if m is not GMethod.DEFINITIONAL]
@@ -264,8 +265,8 @@ def test_G_pole_at_minus_half(method):
         eval_G(5, -0.5, method)
 
 
-@pytest.mark.parametrize("x, error", [(math.nan, ValueError), (math.inf, OverflowError),
-                                      (-math.inf, OverflowError)])
+@pytest.mark.parametrize("x, error", [(math.nan, ValueError), (math.inf, DomainError),
+                                      (-math.inf, DomainError)])
 def test_non_finite_x(x, error):
     calls = ([lambda m=m: eval_F(4, x, m) for m in F_CLOSED]
              + [lambda m=m: eval_G(4, x, m) for m in G_CLOSED]
@@ -276,3 +277,65 @@ def test_non_finite_x(x, error):
     for call in calls:
         with pytest.raises(error):
             call()
+
+
+def test_nan_x_is_a_domain_error():
+    for call in (lambda: eval_F(4, math.nan), lambda: eval_G(4, math.nan),
+                 lambda: eval_sample_family(4, 1, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# one rounding of (num/den) (r/q)^k
+
+
+def test_times_power_rounds_the_fraction_power_once():
+    rng = random.Random("times-power")
+    bases = [-rng.uniform(0.0, 1.0) for _ in range(20)] + [-rng.uniform(1.0, 1e3) for _ in range(10)]
+    for base in bases + [-1e-30, -0.5, -1.0]:
+        for k in range(-9, 10):
+            assert _times_power(1, 1, *base.as_integer_ratio(), k) == float(Fraction(base) ** k)
+
+
+def test_times_power_with_a_signed_fraction():
+    rng = random.Random("times-power-fraction")
+    for _ in range(200):
+        num, den = rng.randint(-10**30, 10**30), rng.randint(1, 10**30)
+        r, q = rng.choice([-1, 1]) * rng.randint(1, 10**20), rng.randint(1, 10**20)
+        k = rng.randint(-12, 12)
+        assert _times_power(num, den, r, q, k) == float(Fraction(num, den) * Fraction(r, q) ** k)
+
+
+# ---------------------------------------------------------------------------
+# work budgets of the closed forms
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_F(10**8, 0.3),
+    lambda: eval_F(10**8, 0.3, FMethod.FACTORED),
+    lambda: eval_G(10**8, 0.3),
+    lambda: eval_F(401, 0.3, FMethod.POWER),
+    lambda: eval_F(401, 0.3, FMethod.EXPANDED),
+    lambda: eval_G(402, 0.3, GMethod.POWER),
+    lambda: eval_F(400, 1e-300, FMethod.POWER),
+    lambda: eval_family_negative(FamilyParamsNeg(10**6, 0.5, 1.5), 0.3),
+    lambda: eval_family_positive(FamilyParamsPos(10**6, 0.5, 2), 0.3),
+    lambda: eval_sample_family(10**6, 3, 0.3),
+], ids=["F-established", "F-factored", "G-established", "F-power", "F-expanded",
+        "G-power", "F-power-tiny-x", "family-neg", "family-pos", "sample-family"])
+def test_work_past_the_budget_is_refused(call):
+    with pytest.raises(DomainError, match="budget"):
+        call()
+
+
+def test_closed_forms_of_F_and_G_name_the_definitional_route():
+    for call in (lambda: eval_F(10**8, 0.3), lambda: eval_G(500, 0.3, GMethod.POWER)):
+        with pytest.raises(DomainError, match="--method definitional"):
+            call()
+
+
+def test_inputs_in_use_stay_admitted():
+    assert eval_F(2000, 0.3) == eval_F(2000, 0.3, FMethod.FACTORED)
+    assert eval_F(400, 0.3, FMethod.POWER) == eval_F(400, 0.3, FMethod.EXPANDED)
+    assert eval_G(401, 0.3, GMethod.POWER).value == eval_G(401, 0.3).value

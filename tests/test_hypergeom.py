@@ -22,6 +22,7 @@ from heunic import (
     gauss_2f1_closed,
     harmonic,
 )
+from heunic.series import _EPS, _sum_recurrence
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
 LOOSE = SeriesOptions(max_terms=300000, rel_tol=1e-13)
@@ -72,6 +73,25 @@ class TestGauss2F1:
             rhs = (a * b / c) * gauss_2f1(Gauss2F1Params(a + 1, b + 1, c + 1),
                                           x, TIGHT).value
             assert abs(ds - rhs) < 1e-10
+
+    def test_series_kernel_sums_the_gauss_recurrence(self):
+        # f, f', f'' on the trial domain of rel_5_2, against mpmath's
+        # f^(i) = (a)_i (b)_i / (c)_i 2F1(a+i, b+i; c+i; x).  The kernel forms
+        # the coefficient ratio as k(k-1+c + a+b+1-c) + ab, which loses
+        # relative accuracy where (k+a)(k+b) nearly vanishes, so the error is
+        # relative to max(1, |f^(i)|), as in rel_5_2's own tests.
+        opts = SeriesOptions(max_terms=6000, rel_tol=_EPS)
+        rng = random.Random(57)
+        with mpmath.workdps(30):
+            for _ in range(200):
+                a, b, c = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 3)
+                x = rng.uniform(0, 0.45)
+                got = _sum_recurrence(Gauss2F1Params(a, b, c), x, opts, 2)
+                for i, r in enumerate(got):
+                    ref = (mpmath.rf(a, i) * mpmath.rf(b, i) / mpmath.rf(c, i)
+                           * mpmath.hyp2f1(a + i, b + i, c + i, x))
+                    assert r.converged
+                    assert abs(r.value - ref) <= 1e-13 * max(1.0, abs(ref)), (a, b, c, x, i)
 
 
 class TestClausen3F2:

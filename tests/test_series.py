@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heunic import series
 from heunic import (
     ConfluentHeunParams,
     DomainError,
@@ -20,6 +21,7 @@ from heunic import (
     heun_slope_at_origin,
     transform_homotopy,
 )
+from heunic.series import DEFAULT_OPTIONS
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
 
@@ -99,6 +101,16 @@ class TestOverflowingConjugate:
         u, du = evaluate(params, 0.3, 1)
         assert not u.converged and not du.converged
         assert math.isfinite(u.value) and u.error_estimate > 0.1 * abs(u.value)
+
+    @pytest.mark.parametrize("evaluate,params,x", [
+        # e^(-4px) and (1 - x/a)^(-alpha-beta+gamma+delta) overflow
+        (eval_confluent_derivatives, ConfluentHeunParams(1e200, 1.0, 1.0, 1.0, 2e200), -0.5),
+        (eval_confluent_derivatives, ConfluentHeunParams(-1000.0, 1.0, 1.0, 1.0, 1.0), 0.3),
+        (eval_heun_derivatives, GeneralHeunParams(0.5, 1.0, 400.0, 400.0, 1.0, 1.0), 0.49),
+    ], ids=["confluent", "confluent-negative-p", "heun"])
+    def test_overflowing_prefactor_keeps_the_direct_sum(self, evaluate, params, x):
+        assert [repr(r) for r in evaluate(params, x, 1)] \
+            == [repr(r) for r in series._sum_recurrence(params, x, DEFAULT_OPTIONS, 1)]
 
 
 class TestNonFiniteX:
