@@ -13,40 +13,23 @@ import math
 from heunic import (
     EntropyKind,
     FMethod,
-    GMethod,
     entropy,
     eval_F,
-    eval_G,
     eval_K,
 )
-
-
-def route_spread_F(n, xs):
-    worst = 0.0
-    for x in xs:
-        values = [eval_F(n, x, method) for method in FMethod]
-        worst = max(worst, max(values) - min(values))
-    return worst
-
-
-def route_spread_G(n, xs):
-    worst = 0.0
-    for x in xs:
-        values = [eval_G(n, x, method).value for method in GMethod]
-        worst = max(worst, max(values) - min(values))
-    return worst
+from heunic.routes import crosscheck
 
 
 def main():
-    print("Two-outcome index F_n: five routes on a 0..1 grid")
-    xs = [i / 50 for i in range(51)]
-    for n in (1, 5, 12, 20):
-        print(f"  n={n:2d}: worst spread over routes = {route_spread_F(n, xs):.2e}")
-
-    print("\nWaiting-time index G_n: four routes on a 0..3 grid")
-    xs = [0.06 * i for i in range(51)]
-    for n in (1, 5, 10, 15):
-        print(f"  n={n:2d}: worst spread over routes = {route_spread_G(n, xs):.2e}")
+    for name, heading, xs, orders in (
+            ("F", "Two-outcome index F_n: five routes on a 0..1 grid",
+             [i / 50 for i in range(51)], (1, 5, 12, 20)),
+            ("G", "\nWaiting-time index G_n: four routes on a 0..3 grid",
+             [0.06 * i for i in range(51)], (1, 5, 10, 15))):
+        print(heading)
+        for n in orders:
+            worst, _x, _converged = crosscheck(name, {"n": n}, xs)
+            print(f"  n={n:2d}: worst spread over routes = {worst:.2e}")
 
     print("\nRate index K_n by truncated summation")
     for n in (1, 3, 8):

@@ -5,8 +5,11 @@ Subcommands:
     eval        evaluate one function at one point
     entropy     order-2 entropies of an index of coincidence
     table       evaluate on a grid and emit CSV or JSON
-    crosscheck  compare all routes of a target on a grid
+    crosscheck  compare the routes of a target that has two or more on a grid
     verify      exact identities plus the relation suite
+
+Targets, their flags and their routes come from ``heunic.routes``; this
+module parses arguments, calls the routes and prints their results.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 numerical failure (an evaluation did not converge).  All output is
@@ -22,119 +25,22 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import TextIO
 
 from . import coincidence, relations
-from .closed_forms import (
-    FamilyParamsNeg,
-    FamilyParamsPos,
-    eval_family_negative,
-    eval_family_positive,
-    eval_sample_family,
-)
-from .coincidence import EntropyKind, FMethod, GMethod
+from .coincidence import EntropyKind
 from .errors import DomainError, UnknownRelationError
-from .hypergeom import (
-    Clausen3F2Params,
-    Gauss2F1Params,
-    clausen_3f2_unit,
-    eval_hl_hypergeometric,
-    gauss_2f1,
-)
 from .identities import (
     IDENTITY_A_SITES,
     Mutation,
     check_identity_A,
     check_identity_B,
 )
-from .series import (
-    ConfluentHeunParams,
-    EvalResult,
-    GeneralHeunParams,
-    SeriesOptions,
-    eval_confluent_heun,
-    eval_heun_local,
-)
-
-Route = Callable[[argparse.Namespace, float, SeriesOptions],
-                 tuple[float, float, bool]]
-
-
-@dataclass(frozen=True)
-class Target:
-    """One evaluation target of the CLI: the flags it needs and its routes.
-
-    Each route maps (args, x, opts) to (value, error_estimate, converged);
-    ``routes`` keeps them in the order crosscheck reports them.
-    """
-
-    flags: tuple[str, ...]      # required, in the order usage errors list them
-    routes: dict[str, Route]
-    default: str | None = None  # route when --method is absent; None: the only one
-    takes_x: bool = True        # False: a unit-argument target, --x is ignored
-    index: bool = False         # an index of coincidence: entropy, crosscheck
-
-
-def _result(r: EvalResult) -> tuple[float, float, bool]:
-    return r.value, r.error_estimate, r.converged
-
-
-def _exact(value: float) -> tuple[float, float, bool]:
-    return value, 0.0, True
-
-
-TARGETS: dict[str, Target] = {
-    "heun": Target(("a", "q", "alpha", "beta", "gamma", "delta"), {
-        "series": lambda args, x, opts: _result(eval_heun_local(
-            GeneralHeunParams(args.a, args.q, args.alpha, args.beta,
-                              args.gamma, args.delta), x, opts))}),
-    "confluent": Target(("p", "gamma", "delta", "alpha", "sigma"), {
-        "series": lambda args, x, opts: _result(eval_confluent_heun(
-            ConfluentHeunParams(args.p, args.gamma, args.delta, args.alpha,
-                                args.sigma), x, opts))}),
-    "F": Target(("n",), {
-        # the mode sum's own estimate, not the 0 of an exact closed form
-        "definitional": lambda args, x, opts: _result(coincidence._f_definitional(args.n, x)),
-        **{m.value: lambda args, x, opts, m=m: _exact(coincidence.eval_F(args.n, x, m))
-           for m in FMethod if m is not FMethod.DEFINITIONAL}},
-        default=FMethod.ESTABLISHED.value, index=True),
-    "G": Target(("n",), {
-        m.value: lambda args, x, opts, m=m: _result(coincidence.eval_G(args.n, x, m, opts))
-        for m in GMethod}, default=GMethod.ESTABLISHED.value, index=True),
-    "K": Target(("n",), {
-        "definitional": lambda args, x, opts: _result(coincidence.eval_K(args.n, x, opts)),
-        "quadrature": lambda args, x, opts: (
-            *coincidence.k_derivative_quadrature(args.n, 0, x), True),
-        # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n);
-        # 2n stays an integer, so a too-large n is refused as a parameter
-        "confluent-series": lambda args, x, opts: _result(eval_confluent_heun(
-            ConfluentHeunParams(args.n, 1.0, 0.0, 0.5, 2 * args.n), x, opts)),
-    }, default="definitional", index=True),
-    "Kderiv": Target(("n", "j"), {
-        "quadrature": lambda args, x, opts: (
-            *coincidence.k_derivative_quadrature(args.n, args.j, x), True)}),
-    "2f1": Target(("a", "b", "c"), {
-        "series": lambda args, x, opts: _result(gauss_2f1(
-            Gauss2F1Params(args.a, args.b, args.c), x, opts))}),
-    "3f2": Target(("a1", "a2", "a3", "b1", "b2"), {
-        "accelerated": lambda args, x, opts: _result(clausen_3f2_unit(
-            Clausen3F2Params(args.a1, args.a2, args.a3, args.b1, args.b2), opts))},
-        takes_x=False),
-    "hl-hyp": Target(("q",), {
-        "hypergeometric": lambda args, x, opts: _result(
-            eval_hl_hypergeometric(args.q, x, opts))}),
-    "family-neg": Target(("n", "theta", "gamma"), {
-        "closed": lambda args, x, opts: _exact(eval_family_negative(
-            FamilyParamsNeg(args.n, args.theta, args.gamma), x))}),
-    "family-pos": Target(("n", "theta", "gamma"), {
-        "closed": lambda args, x, opts: _exact(eval_family_positive(
-            FamilyParamsPos(args.n, args.theta, args.gamma), x))}),
-    "sample-family": Target(("n", "i"), {
-        "closed": lambda args, x, opts: _exact(
-            eval_sample_family(args.n, args.i, x))}),
-}
+from .routes import TARGETS, Route, Target, crosscheck
+from .series import SeriesOptions
 
 INDICES = tuple(name for name, target in TARGETS.items() if target.index)
+CROSSCHECKED = tuple(name for name, target in TARGETS.items() if len(target.routes) > 1)
 
 # bounds on the work one command may ask for
 _MAX_GRID_POINTS = 100_000
@@ -215,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crosscheck",
                              help="compare all routes of a target on a grid")
-    add_target_args(p_cross, INDICES)
+    add_target_args(p_cross, CROSSCHECKED)
     p_cross.add_argument("--grid", required=True, help=grid_help)
     p_cross.add_argument("--tol", type=_finite_float,
                          help="fail (exit 1) if the discrepancy exceeds this")
@@ -235,23 +141,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _target(args) -> Target:
-    """The target of args, after checking that its flags are all given."""
+def _target(args) -> tuple[Target, dict]:
+    """The target of args and its parameters, all of which must be given."""
     target = TARGETS[args.target]
-    missing = [f"--{name}" for name in target.flags if getattr(args, name) is None]
+    params = {name: getattr(args, name) for name in target.flags}
+    missing = [f"--{name}" for name, value in params.items() if value is None]
     if missing:
         raise DomainError(f"target {args.target!r} requires {', '.join(missing)}")
-    return target
+    return target, params
 
 
-def _route(args) -> tuple[str, Route]:
-    """The label and callable of the route that --method selects."""
-    target = _target(args)
+def _route(args) -> tuple[str, Route, dict]:
+    """The label, callable and parameters of the route --method selects."""
+    target, params = _target(args)
     label = args.method or target.default or next(iter(target.routes))
     if label not in target.routes:
         raise DomainError(f"target {args.target!r} has no route {label!r}; "
                           f"routes: {', '.join(target.routes)}")
-    return label, target.routes[label]
+    return label, target.routes[label], params
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -287,12 +194,12 @@ def _series_options(args) -> SeriesOptions:
 
 
 def _cmd_eval(args, out: TextIO, finish=None) -> ExitReport:
-    _label, route = _route(args)
+    _label, route, params = _route(args)
     if args.x is None and TARGETS[args.target].takes_x:
         raise DomainError(f"{args.command} requires --x")
-    value, _err, converged = route(args, args.x, _series_options(args))
-    out.write(_fmt(finish(value) if finish else value) + "\n")
-    if not converged:
+    result = route(args.x, _series_options(args), **params)
+    out.write(_fmt(finish(result.value) if finish else result.value) + "\n")
+    if not result.converged:
         return ExitReport(3, "evaluation did not converge")
     return ExitReport(0, "ok")
 
@@ -306,15 +213,15 @@ def _cmd_entropy(args, out: TextIO) -> ExitReport:
 
 
 def _cmd_table(args, out: TextIO) -> ExitReport:
-    label, route = _route(args)
+    label, route, params = _route(args)
     opts = _series_options(args)
     rows = []
     all_converged = True
     for x in _parse_grid(args.grid):
-        value, err, converged = route(args, x, opts)
-        all_converged = all_converged and converged
-        rows.append({"x": x, "value": value, "error_estimate": err,
-                     "method": label})
+        result = route(x, opts, **params)
+        all_converged = all_converged and result.converged
+        rows.append({"x": x, "value": result.value,
+                     "error_estimate": result.error_estimate, "method": label})
     if args.path:
         with open(args.path, "w", encoding="utf-8", newline="") as sink:
             count = emit_table(rows, args.output, sink)
@@ -326,19 +233,11 @@ def _cmd_table(args, out: TextIO) -> ExitReport:
 
 
 def _cmd_crosscheck(args, out: TextIO) -> ExitReport:
-    target = _target(args)
+    target, params = _target(args)
     opts = _series_options(args)
-    worst = 0.0
-    worst_x = None
-    all_converged = True
-    for x in _parse_grid(args.grid):
-        results = [route(args, x, opts) for route in target.routes.values()]
-        all_converged = all_converged and all(r[2] for r in results)
-        values = [r[0] for r in results]
-        spread = max(values) - min(values)
-        if spread > worst:
-            worst, worst_x = spread, x
-    flags = " ".join(f"{name}={getattr(args, name)}" for name in target.flags)
+    grid = _parse_grid(args.grid)
+    worst, worst_x, all_converged = crosscheck(args.target, params, grid, opts)
+    flags = " ".join(f"{name}={value}" for name, value in params.items())
     out.write(f"target {args.target} {flags} routes={','.join(target.routes)}\n")
     out.write(f"max discrepancy {_fmt(worst)}"
               + (f" at x={_fmt(worst_x)}\n" if worst_x is not None else "\n"))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .closed_forms import _horner, _times_power, pochhammer
+from .closed_forms import _checked_ratio, _horner, _times_power, pochhammer
 from .errors import DivergentSeriesError, DomainError
 from .series import (
     _EPS,
@@ -199,6 +199,8 @@ def eval_hl_hypergeometric(q: float, x: float,
     if base < 0.0 and not float(exponent).is_integer():
         raise DomainError(
             "no real branch beyond x = 1/2 for non-integer exponent")
+    if base < 0.0:  # an exact power of |exponent| factors, under the closed forms' budget
+        _checked_ratio(x, abs(int(exponent)))
     prefactor = base**exponent if base > 0.0 else _times_power(
         1, 1, *base.as_integer_ratio(), int(exponent))
     z = 4.0 * x * (1.0 - x)

@@ -299,6 +299,8 @@ def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
         conjugate, pref = params._conjugate(x, max_order)
     except (DomainError, ArithmeticError):  # its parameters or prefactor overflow
         return direct
+    if pref[0] == 0.0 or not math.isfinite(pref[0]):  # the rescue would bound nothing
+        return direct
     inner = _sum_recurrence(conjugate, x, opts, max_order)
     return _better(direct, _combine_prefactor(pref, inner, max_order))
 

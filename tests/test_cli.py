@@ -481,3 +481,32 @@ def test_runtime_needs_only_the_standard_library():
     assert proc.returncode == 0, proc.stderr
     assert "verification: PASS" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_underflowed_rescue_prefactor_prints_the_direct_sum():
+    # e^(-4px) underflows for x <= -0.5 at p = -1000: the rows must not read 0 +- 0
+    report, out, _ = invoke(["table", "--target", "confluent", "--p", "-1000", "--gamma", "1",
+                             "--delta", "1", "--alpha", "1", "--sigma", "1",
+                             "--grid", "-0.95:0.95:0.05"])
+    assert report.code == 3
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 39
+    for row in rows:
+        assert float(row["error_estimate"]) > 0.0 or float(row["value"]) != 0.0, row
+
+
+def test_hl_hyp_past_its_budget_is_usage_error():
+    # in a subprocess: an unbudgeted power of 2e9 factors would not finish
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["eval", "--target", "hl-hyp", "--q", "1e9", "--x", "0.7"]
+    proc = subprocess.run([sys.executable, "-m", "heunic.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "work budget" in proc.stderr
+    start = time.perf_counter()
+    assert invoke(argv)[0].code == 2
+    assert time.perf_counter() - start < 1.0
+    report, out, _ = invoke(["eval", "--target", "hl-hyp", "--q", "2", "--x", "0.7"])
+    assert (report.code, out) == (0, "-9.0625000000000053\n")

@@ -1,8 +1,13 @@
 """Hypergeometric series, closed forms, and the Heun bridge."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -209,3 +214,21 @@ class TestClosedForm2F1:
             gauss_2f1_closed(2, 1, 1.0)
         with pytest.raises(DomainError):
             gauss_2f1_closed(0, 1, 0.5)
+
+
+def test_hl_hyp_beyond_one_half_is_bounded_in_q():
+    # (1 - 2x)^(1 - 2q) beyond x = 1/2 is an exact power of 2e9 factors here;
+    # in a subprocess first, as an unbudgeted power would not finish
+    script = ("from heunic import DomainError, eval_hl_hypergeometric\n"
+              "try:\n    eval_hl_hypergeometric(1e9, 0.7)\n"
+              "except DomainError as exc:\n    print(exc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=10)
+    assert "work budget" in proc.stdout
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="work budget"):
+        eval_hl_hypergeometric(1e9, 0.7)
+    assert time.perf_counter() - start < 1.0
+    # a power within the budget is still exact: (-0.4)^(-3) (1 - 0.84/2)
+    assert eval_hl_hypergeometric(2.0, 0.7).value == pytest.approx(-9.0625, rel=1e-14)

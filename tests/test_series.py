@@ -322,3 +322,14 @@ class TestOdeResiduals:
         mirrored = GeneralHeunParams(-0.6, 0.5, 1.0, 2.0, 1.5, 0.7)
         for x in (0.25, -0.25):
             assert abs(heun_ode_residual(mirrored, x, TIGHT)) < 1e-10
+
+
+def test_underflowed_rescue_prefactor_keeps_the_direct_sum():
+    # e^(-4px) = e^(-3800) underflows to 0, so the rescued value and its
+    # estimate would both be 0: an unconverged 0 that claims no error
+    params = ConfluentHeunParams(-1000.0, 1.0, 1.0, 1.0, 1.0)
+    for x in (-0.95, -0.5):
+        result = eval_confluent_heun(params, x)
+        assert result == series._sum_recurrence(params, x, DEFAULT_OPTIONS, 0)[0]
+        assert not result.converged
+        assert result.error_estimate > 0.0
