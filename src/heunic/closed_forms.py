@@ -23,6 +23,12 @@ integer numerator over one integer denominator.  The integer kernel that
 table and ``_ratio_horner`` over a term ratio, forms that pair, and the
 route rounds once by the correctly rounded ``int / int``: the float
 nearest the exact value, even where the alternating terms cancel.
+
+The kernel shifts where it would multiply by a power of two.  Every
+float denominator q is one, so the kernels take its exponent e (q^2 =
+2^e) and shift by e where a general q^2 would multiply; ``_times_power``
+shifts the side of r/q that is a power of two, and the 4^m of the
+closed forms' denominators and coefficient tables is a shift by 2m.
 """
 
 from __future__ import annotations
@@ -91,11 +97,7 @@ class FamilyParamsPos:
 
 
 def _horner(coeffs: tuple[int, ...], a: int, e: int) -> tuple[int, int]:
-    """sum_k coeffs[k] (a/2^e)^k as (numerator, 2^(e*deg)), by homogeneous Horner.
-
-    Every float denominator is a power of two, so the kernels take the
-    exponent e and shift where a general b would multiply.
-    """
+    """sum_k coeffs[k] (a/2^e)^k as (numerator, 2^(e*deg)), by homogeneous Horner."""
     num, shift = coeffs[-1], 0
     for c in coeffs[-2::-1]:
         shift += e
@@ -109,17 +111,22 @@ def _ratio_horner(ratios, a: int, e: int) -> tuple[int, int]:
     ``ratios`` yields the integer pairs (N_i, D_i) of consecutive terms
     from the last, i = K-1, down to the first: 1 + r_0 (1 + r_1 (...)) is
     built from the inside out.  The denominator returned is positive.
+    The product of the D_i is kept apart from its power of two, so each
+    step multiplies one D_i into a small integer and shifts once.
     """
     num = den = 1
+    shift = 0
     for n_i, d_i in ratios:
-        den = (den * d_i) << e
-        num = den + n_i * a * num
+        den *= d_i
+        shift += e
+        num = (den << shift) + n_i * a * num
+    den <<= shift
     return (num, den) if den > 0 else (-num, -den)
 
 
-# Budgets that keep an exact closed form under about a second (0.9 s at
+# Budgets that keep an exact closed form under about a second (0.6 s at
 # most on a 2-vCPU VM): a table of order m costs about m^3 bit operations
-# (0.4 s at m = 400), and a sum of K terms whose integers grow by b bits
+# (0.05 s at m = 400), and a sum of K terms whose integers grow by b bits
 # a term costs about (K b)^2.
 _TABLE_ORDER = 400
 _SUM_WORK = 5e11
@@ -143,9 +150,16 @@ def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool =
 
 
 def _times_power(num: int, den: int, r: int, q: int, k: int) -> float:
-    """(num/den) (r/q)^k for any integer k, rounded once by ``int / int``."""
+    """(num/den) (r/q)^k for any integer k, rounded once by ``int / int``.
+
+    A side of r/q that is a positive power of two is shifted, not raised.
+    """
     if k < 0:
         r, q, k = q, r, -k
+    if r > 0 and r & (r - 1) == 0:
+        return (num << (r.bit_length() - 1) * k) / (den * q**k)
+    if q > 0 and q & (q - 1) == 0:
+        return num * r**k / (den << (q.bit_length() - 1) * k)
     return num * r**k / (den * q**k)
 
 
@@ -170,7 +184,7 @@ def _sample_sum(i: int, m: int, a: int, e: int) -> tuple[int, int]:
     num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
                               for j in reversed(range(m))), a, e)
     # the j = 0 term is C(2m,m)
-    return math.comb(2 * m, m) * num, 4**m * math.comb(i + m, i) * den
+    return math.comb(2 * m, m) * num, math.comb(i + m, i) * den << 2 * m
 
 
 def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from enum import Enum
 
 from .closed_forms import _checked_ratio, _family_sum, _horner, _sample_sum, _times_power
@@ -85,20 +86,35 @@ def _require_order(n: int) -> None:
 def _power_coeffs(m: int) -> tuple[int, ...]:
     """C(m,j) 4^(m-j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j), for j = 0..m.
 
-    The alternating quarter sum is scaled by 4^(m-j) to an integer.
+    The alternating quarter sum is scaled by 4^(m-j) to an integer and
+    summed by Horner's rule in base 4; the rows of signed binomials come
+    from Pascal's rule.
     """
     central = [math.comb(2 * i, i) for i in range(m + 1)]
-    return tuple(math.comb(m, j) * sum((-1) ** i * 4 ** (m - j - i) * math.comb(m - j, i)
-                                       * central[i + j] for i in range(m - j + 1))
-                 for j in range(m + 1))
+    coeffs = []
+    row = [1]  # (-1)^i C(m-j, i) for i = 0..m-j
+    for j in range(m, -1, -1):
+        acc = 0
+        for signed, c in zip(row, central[j:]):
+            acc = (acc << 2) + signed * c
+        coeffs.append(math.comb(m, j) * acc)
+        row = [1, *map(operator.sub, row[1:], row), -row[-1]]
+    return tuple(reversed(coeffs))
 
 
 @functools.lru_cache(maxsize=32)
 def _expanded_coeffs(m: int) -> tuple[int, ...]:
-    """4^k sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j), for k = 0..m."""
+    """4^k sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j), for k = 0..m.
+
+    The sums over j are accumulated row by row of Pascal's triangle.
+    """
     outer = [math.comb(2 * j, j) * math.comb(2 * m - 2 * j, m - j) for j in range(m + 1)]
-    return tuple(4**k * sum(math.comb(j, k) * outer[j] for j in range(k, m + 1))
-                 for k in range(m + 1))
+    sums = [0] * (m + 1)
+    row = [1]  # C(j, k) for k = 0..j
+    for j, o in enumerate(outer):
+        sums[:j + 1] = map(operator.add, sums, [c * o for c in row])
+        row = [1, *map(operator.add, row, row[1:]), 1]
+    return tuple(s << 2 * k for k, s in enumerate(sums))
 
 
 def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
@@ -117,7 +133,7 @@ def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
         num, den = _horner(_expanded_coeffs(m), w, e)
     else:
         raise DomainError(f"unknown F method {method!r}")
-    return num, 4**m * den
+    return num, den << 2 * m
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +452,9 @@ def eval_K_derivative(n: int, j: int, x: float) -> float:
     At x = 0 the integral reduces to a Wallis integral and the value is
     (-n)^j C(2j,j).
     """
-    return k_derivative_quadrature(n, j, x)[0]
+    _check_quadrature(n, j, x)
+    sign = (-1.0) ** j * float(n) ** j
+    return sign * _k_derivative_scaled(n, j, x, 128)
 
 
 def eval_HC_family(n: int, j: int, x: float) -> float:

@@ -12,7 +12,7 @@ pass carries no floating-point caveat.  Identity B's left side is
 summed scaled by 4^(n-j) and compared with the right side by
 cross-multiplication; both sides are reported as Fractions.  Every
 binomial argument can be perturbed through a ``Mutation`` to prove the
-checks are not vacuous.
+checks are not vacuous: it adds its delta to that one argument.
 """
 
 from __future__ import annotations
@@ -76,17 +76,14 @@ IDENTITY_B_SITES = (
 )
 
 
-def _binomial(mutation: Mutation | None, site: int, upper: int, lower: int) -> int:
-    """C(upper, lower), the mutation applied if it targets this binomial.
-
-    A binomial occupies the sites ``site`` (upper) and ``site + 1`` (lower).
-    """
+def _offsets(mutation: Mutation | None, sites: int) -> list[int]:
+    """The argument offsets of a check: zero, but ``delta`` at the mutated
+    site.  A binomial occupies the sites ``site`` (upper) and ``site + 1``
+    (lower)."""
+    offsets = [0] * sites
     if mutation is not None:
-        if mutation.site == site:
-            upper += mutation.delta
-        elif mutation.site == site + 1:
-            lower += mutation.delta
-    return binomial_exact(upper, lower)
+        offsets[mutation.site] = mutation.delta
+    return offsets
 
 
 def check_identity_A(n: int, k: int,
@@ -96,10 +93,13 @@ def check_identity_A(n: int, k: int,
         raise DomainError("need 0 <= k <= n")
     if mutation is not None and not 0 <= mutation.site < len(IDENTITY_A_SITES):
         raise DomainError("unknown mutation site for identity A")
-    lhs = sum(_binomial(mutation, 0, j, k) * _binomial(mutation, 2, 2 * j, j)
-              * _binomial(mutation, 4, 2 * n - 2 * j, n - j)
+    # a mutated argument may leave the range that math.comb accepts
+    comb = math.comb if mutation is None else binomial_exact
+    # the offsets of the upper and lower arguments, in the order of the sites
+    a, b, c, d, e, f, g, h, u, v = _offsets(mutation, len(IDENTITY_A_SITES))
+    lhs = sum(comb(j + a, k + b) * comb(2 * j + c, j + d) * comb(2 * n - 2 * j + e, n - j + f)
               for j in range(k, n + 1))
-    rhs = 4 ** (n - k) * _binomial(mutation, 6, n, k) * _binomial(mutation, 8, 2 * k, k)
+    rhs = comb(n + g, k + h) * comb(2 * k + u, k + v) << 2 * (n - k)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
@@ -110,14 +110,17 @@ def check_identity_B(n: int, j: int,
         raise DomainError("need 0 <= j <= n")
     if mutation is not None and not 0 <= mutation.site < len(IDENTITY_B_SITES):
         raise DomainError("unknown mutation site for identity B")
+    comb = math.comb if mutation is None else binomial_exact
+    a, b, c, d, e, f, g, h, u, v = _offsets(mutation, len(IDENTITY_B_SITES))
     m = n - j
-    # the left side times 4^m
-    lhs = sum((-1) ** i * 4 ** (m - i) * _binomial(mutation, 0, m, i)
-              * _binomial(mutation, 2, 2 * i + 2 * j, i + j)
-              for i in range(m + 1))
-    denominator = _binomial(mutation, 8, n, j)
+    # the left side times 4^m, by Horner's rule in base 4
+    lhs = 0
+    for i in range(m + 1):
+        term = comb(m + a, i + b) * comb(2 * i + 2 * j + c, i + j + d)
+        lhs = (lhs << 2) - term if i & 1 else (lhs << 2) + term
+    denominator = comb(n + u, j + v)
     if denominator == 0:
-        return IdentityCheck(False, Fraction(lhs, 4**m), None)
-    rhs = _binomial(mutation, 4, 2 * j, j) * _binomial(mutation, 6, 2 * n - 2 * j, n - j)
-    return IdentityCheck(lhs * denominator == rhs, Fraction(lhs, 4**m),
-                         Fraction(rhs, 4**m * denominator))
+        return IdentityCheck(False, Fraction(lhs, 1 << 2 * m), None)
+    rhs = comb(2 * j + e, j + f) * comb(2 * n - 2 * j + g, n - j + h)
+    return IdentityCheck(lhs * denominator == rhs, Fraction(lhs, 1 << 2 * m),
+                         Fraction(rhs, denominator << 2 * m))

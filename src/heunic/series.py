@@ -25,7 +25,7 @@ for non-finite x; analytic continuation is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
 
@@ -284,6 +284,13 @@ def _better(direct: list[EvalResult], rescued: list[EvalResult]) -> list[EvalRes
     return direct if direct[0].error_estimate <= rescued[0].error_estimate else rescued
 
 
+def _without_rescue(direct: list[EvalResult]) -> list[EvalResult]:
+    """The direct sums kept for want of a rescue, each one whose error
+    estimate reaches its value marked not converged: it has no correct digit."""
+    return [replace(r, converged=False) if r.error_estimate >= abs(r.value) else r
+            for r in direct]
+
+
 def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
               opts: SeriesOptions | None, max_order: int) -> list[EvalResult]:
     """u, ..., u^(max_order) at x by the direct series, falling back to the
@@ -298,9 +305,9 @@ def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
     try:
         conjugate, pref = params._conjugate(x, max_order)
     except (DomainError, ArithmeticError):  # its parameters or prefactor overflow
-        return direct
+        return _without_rescue(direct)
     if pref[0] == 0.0 or not math.isfinite(pref[0]):  # the rescue would bound nothing
-        return direct
+        return _without_rescue(direct)
     inner = _sum_recurrence(conjugate, x, opts, max_order)
     return _better(direct, _combine_prefactor(pref, inner, max_order))
 

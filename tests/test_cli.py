@@ -510,3 +510,12 @@ def test_hl_hyp_past_its_budget_is_usage_error():
     assert time.perf_counter() - start < 1.0
     report, out, _ = invoke(["eval", "--target", "hl-hyp", "--q", "2", "--x", "0.7"])
     assert (report.code, out) == (0, "-9.0625000000000053\n")
+
+
+def test_kept_direct_sum_without_a_correct_digit_exits_3():
+    # the true value is 4.4e-32; the direct sum, 2.4e77, has no correct digit
+    report, out, _ = invoke(["eval", "--target", "heun", "--a", "0.5", "--q", "1",
+                             "--alpha", "-200.5", "--beta", "-200.5", "--gamma", "1",
+                             "--delta", "1", "--x", "0.49"])
+    assert report.code == 3
+    assert out == "2.4097355636638393e+77\n"

@@ -267,6 +267,13 @@ class TestKDerivative:
                     * mpmath.exp(-4 * n * x * mpmath.sin(t) ** 2), [0, mpmath.pi / 2])
                 assert 0.0 < err and abs(value - ref) <= err, (n, j, x)
 
+    def test_value_is_the_fine_rule_of_the_doubled_quadrature(self):
+        rng = random.Random("K-derivative-fine-rule")
+        for _ in range(200):
+            n, j = rng.randint(1, 10**4), rng.randint(0, 12)
+            x = rng.choice([0.0, rng.uniform(0, 0.01), rng.uniform(0, 3)])
+            assert eval_K_derivative(n, j, x) == k_derivative_quadrature(n, j, x)[0], (n, j, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             eval_K_derivative(1, 1, -0.1)

@@ -30,7 +30,10 @@ from heunic import (
     harmonic,
     pochhammer,
 )
-from heunic.closed_forms import _times_power
+from heunic import IDENTITY_A_SITES, IDENTITY_B_SITES, Mutation, check_identity_A, check_identity_B
+from heunic.closed_forms import _ratio_horner, _times_power
+from heunic.coincidence import _expanded_coeffs, _power_coeffs
+from heunic.identities import binomial_exact
 
 F_CLOSED = [m for m in FMethod if m is not FMethod.DEFINITIONAL]
 G_CLOSED = [m for m in GMethod if m is not GMethod.DEFINITIONAL]
@@ -339,3 +342,164 @@ def test_inputs_in_use_stay_admitted():
     assert eval_F(2000, 0.3) == eval_F(2000, 0.3, FMethod.FACTORED)
     assert eval_F(400, 0.3, FMethod.POWER) == eval_F(400, 0.3, FMethod.EXPANDED)
     assert eval_G(401, 0.3, GMethod.POWER).value == eval_G(401, 0.3).value
+
+
+# ---------------------------------------------------------------------------
+# the shifting kernels give the integers and floats of the multiplying ones
+
+
+def ref_ratio_horner(ratios, a, e):
+    num = den = 1
+    for n_i, d_i in ratios:
+        den = (den * d_i) << e
+        num = den + n_i * a * num
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def ref_times_power(num, den, r, q, k):
+    if k < 0:
+        r, q, k = q, r, -k
+    return num * r**k / (den * q**k)
+
+
+def ref_power_coeffs(m):
+    central = [math.comb(2 * i, i) for i in range(m + 1)]
+    return tuple(math.comb(m, j) * sum((-1) ** i * 4 ** (m - j - i) * math.comb(m - j, i)
+                                       * central[i + j] for i in range(m - j + 1))
+                 for j in range(m + 1))
+
+
+def ref_expanded_coeffs(m):
+    outer = [math.comb(2 * j, j) * math.comb(2 * m - 2 * j, m - j) for j in range(m + 1)]
+    return tuple(4**k * sum(math.comb(j, k) * outer[j] for j in range(k, m + 1))
+                 for k in range(m + 1))
+
+
+KERNEL_ORDERS = (*range(61), 400)
+
+
+def _signed(rng, bits):
+    return rng.choice([-1, 1]) * rng.getrandbits(bits)
+
+
+def test_ratio_horner_matches_the_multiplying_kernel():
+    rng = random.Random("ratio-horner")
+    for order in KERNEL_ORDERS:
+        for _ in range(3 if order < 400 else 1):
+            ratios = [(_signed(rng, 40), _signed(rng, 30) or 1) for _ in range(order)]
+            a, e = _signed(rng, 64), rng.randint(0, 120)
+            assert _ratio_horner(ratios, a, e) == ref_ratio_horner(ratios, a, e), (order, e)
+
+
+def _side(rng):
+    """An integer ratio side: a positive or negative power of two, zero or any integer."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return 0
+    if kind == 0:
+        return 1 << rng.randint(0, 80)
+    if kind == 1:
+        return -(1 << rng.randint(0, 80))
+    return _signed(rng, rng.randint(1, 70)) or 3
+
+
+def test_times_power_matches_the_multiplying_kernel():
+    rng = random.Random("times-power-kernel")
+    for k in (*range(-60, 61), -400, 400):
+        for _ in range(8):
+            num, den = _signed(rng, rng.randint(1, 200)), rng.getrandbits(rng.randint(1, 200)) + 1
+            r, q = _side(rng), _side(rng)
+            assert (_outcome(_times_power, num, den, r, q, k)
+                    == _outcome(ref_times_power, num, den, r, q, k)), (num, den, r, q, k)
+
+
+def test_times_power_overflows_as_before():
+    for r, q, k in [(1 << 60, 3, 40), (3, 1 << 60, -40), (-(1 << 60), 5, 41), (1 << 2, 7, -2000)]:
+        with pytest.raises(OverflowError):
+            ref_times_power(1, 1, r, q, k)
+        with pytest.raises(OverflowError):
+            _times_power(1, 1, r, q, k)
+
+
+@pytest.mark.parametrize("table,reference", [(_power_coeffs, ref_power_coeffs),
+                                              (_expanded_coeffs, ref_expanded_coeffs)],
+                         ids=["power", "expanded"])
+def test_coefficient_tables_match_the_multiplying_loops(table, reference):
+    for m in KERNEL_ORDERS:
+        assert table(m) == reference(m), m
+
+
+# ---------------------------------------------------------------------------
+# the identity checks give the results of the wrapper-based sums
+
+
+def ref_binomial(mutation, site, upper, lower):
+    if mutation is not None:
+        if mutation.site == site:
+            upper += mutation.delta
+        elif mutation.site == site + 1:
+            lower += mutation.delta
+    return binomial_exact(upper, lower)
+
+
+def ref_identity_A(n, k, mutation=None):
+    if not 0 <= k <= n:
+        raise DomainError("need 0 <= k <= n")
+    if mutation is not None and not 0 <= mutation.site < len(IDENTITY_A_SITES):
+        raise DomainError("unknown mutation site for identity A")
+    lhs = sum(ref_binomial(mutation, 0, j, k) * ref_binomial(mutation, 2, 2 * j, j)
+              * ref_binomial(mutation, 4, 2 * n - 2 * j, n - j)
+              for j in range(k, n + 1))
+    rhs = 4 ** (n - k) * ref_binomial(mutation, 6, n, k) * ref_binomial(mutation, 8, 2 * k, k)
+    return (lhs == rhs, lhs, rhs)
+
+
+def ref_identity_B(n, j, mutation=None):
+    if not 0 <= j <= n:
+        raise DomainError("need 0 <= j <= n")
+    if mutation is not None and not 0 <= mutation.site < len(IDENTITY_B_SITES):
+        raise DomainError("unknown mutation site for identity B")
+    m = n - j
+    lhs = sum((-1) ** i * 4 ** (m - i) * ref_binomial(mutation, 0, m, i)
+              * ref_binomial(mutation, 2, 2 * i + 2 * j, i + j)
+              for i in range(m + 1))
+    denominator = ref_binomial(mutation, 8, n, j)
+    if denominator == 0:
+        return (False, Fraction(lhs, 4**m), None)
+    rhs = ref_binomial(mutation, 4, 2 * j, j) * ref_binomial(mutation, 6, 2 * n - 2 * j, n - j)
+    return (lhs * denominator == rhs, Fraction(lhs, 4**m), Fraction(rhs, 4**m * denominator))
+
+
+def _check_outcome(check, *args):
+    """The result of a check as a tuple of its fields and their types, or
+    the type and message of the error it raises."""
+    try:
+        result = check(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+    return tuple(result), tuple(type(v) for v in result)
+
+
+IDENTITY_PAIRS = [(n, k) for n in range(31) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("check,reference", [(check_identity_A, ref_identity_A),
+                                              (check_identity_B, ref_identity_B)],
+                         ids=["A", "B"])
+def test_unmutated_identity_checks_match_the_wrapper_sums(check, reference):
+    for n, k in IDENTITY_PAIRS:
+        assert _check_outcome(check, n, k) == _check_outcome(reference, n, k), (n, k)
+    for n, k in [(3, 4), (3, -1)]:
+        assert _check_outcome(check, n, k) == _check_outcome(reference, n, k), (n, k)
+
+
+@pytest.mark.parametrize("site", range(-1, 11))
+@pytest.mark.parametrize("check,reference", [(check_identity_A, ref_identity_A),
+                                              (check_identity_B, ref_identity_B)],
+                         ids=["A", "B"])
+def test_mutated_identity_checks_match_the_wrapper_sums(check, reference, site):
+    for delta in (1, -1, 2, -3):
+        mutation = Mutation(site, delta)
+        for n, k in IDENTITY_PAIRS:
+            assert (_check_outcome(check, n, k, mutation)
+                    == _check_outcome(reference, n, k, mutation)), (n, k, mutation)

@@ -333,3 +333,14 @@ def test_underflowed_rescue_prefactor_keeps_the_direct_sum():
         assert result == series._sum_recurrence(params, x, DEFAULT_OPTIONS, 0)[0]
         assert not result.converged
         assert result.error_estimate > 0.0
+
+
+def test_kept_direct_sum_without_a_correct_digit_is_not_converged():
+    # the (1 - x/a)^402 prefactor underflows, so no rescue is available; the
+    # direct sum stops by its streak rule at 2.4e77 while the value is 4.4e-32
+    params = GeneralHeunParams(0.5, 1.0, -200.5, -200.5, 1.0, 1.0)
+    result = eval_heun_local(params, 0.49)
+    direct = series._sum_recurrence(params, 0.49, DEFAULT_OPTIONS, 0)[0]
+    assert direct.converged and direct.error_estimate >= abs(direct.value)
+    assert (result.value, result.error_estimate) == (direct.value, direct.error_estimate)
+    assert not result.converged
