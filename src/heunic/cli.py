@@ -20,22 +20,13 @@ randomized verification.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
-from . import coincidence, relations
+from . import coincidence
 from .coincidence import EntropyKind
 from .errors import DomainError, UnknownRelationError
-from .identities import (
-    IDENTITY_A_SITES,
-    Mutation,
-    check_identity_A,
-    check_identity_B,
-)
 from .routes import TARGETS, Route, Target, crosscheck
 from .series import SeriesOptions
 
@@ -45,10 +36,11 @@ CROSSCHECKED = tuple(name for name, target in TARGETS.items() if len(target.rout
 # bounds on the work one command may ask for
 _MAX_GRID_POINTS = 100_000
 _MAX_TERMS = 1_000_000
+_MAX_VERIFY_N = 200  # the identity checks sum O(n^3) big-integer terms
+_MAX_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
-class ExitReport:
+class ExitReport(NamedTuple):
     code: int          # 0 ok, 1 verification failure, 2 usage, 3 numerical
     summary: str
 
@@ -61,12 +53,16 @@ def _fmt(value: float) -> str:
 def emit_table(rows: list[dict], fmt: str, sink: TextIO) -> int:
     """Write rows with keys x, value, error_estimate, method; return row count."""
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(["x", "value", "error_estimate", "method"])
         for row in rows:
             writer.writerow([_fmt(row["x"]), _fmt(row["value"]),
                              _fmt(row["error_estimate"]), row["method"]])
     elif fmt == "json":
+        import json
+
         json.dump(rows, sink, indent=2)
         sink.write("\n")
     else:
@@ -129,14 +125,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify",
                               help="exact identities and the relation suite")
-    p_verify.add_argument("--max-n", type=int, default=50)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--max-n", type=int, default=50,
+                          help=f"identities up to this n (default 50, at most {_MAX_VERIFY_N})")
+    p_verify.add_argument("--trials", type=int, default=100,
+                          help=f"trials per relation (default 100, at most {_MAX_TRIALS})")
     p_verify.add_argument("--tol", type=_finite_float, default=1e-7)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--mutate-identity", type=int, default=None,
                           metavar="SITE",
+                          # 0..len(IDENTITY_A_SITES) - 1, written out so that
+                          # parsing does not import heunic.identities
                           help="self-test hook: bump one binomial argument "
-                               f"of identity A (site 0..{len(IDENTITY_A_SITES) - 1})")
+                               "of identity A (site 0..9)")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -251,8 +251,16 @@ def _cmd_crosscheck(args, out: TextIO) -> ExitReport:
 def _cmd_verify(args, out: TextIO) -> ExitReport:
     if args.max_n < 0:
         raise DomainError("--max-n must be nonnegative")
+    if args.max_n > _MAX_VERIFY_N:
+        raise DomainError(f"--max-n must be at most {_MAX_VERIFY_N}")
     if args.trials < 1:
         raise DomainError("--trials must be positive")
+    if args.trials > _MAX_TRIALS:
+        raise DomainError(f"--trials must be at most {_MAX_TRIALS}")
+    # only verify needs these, so other commands do not load them
+    from . import relations
+    from .identities import Mutation, check_identity_A, check_identity_B
+
     mutation = None if args.mutate_identity is None else Mutation(args.mutate_identity, 1)
     ok = True
     for name, check, index, mutate in (("A", check_identity_A, "k", mutation),

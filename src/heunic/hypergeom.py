@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .closed_forms import _checked_ratio, _horner, _times_power, pochhammer
 from .errors import DivergentSeriesError, DomainError
@@ -218,6 +216,8 @@ def eval_hl_hypergeometric(q: float, x: float,
 
 def harmonic(n: int) -> Fraction:
     """Exact n-th harmonic number, 0 for n = 0 by the empty-sum convention."""
+    from fractions import Fraction
+
     if n < 0:
         raise DomainError("harmonic index must be nonnegative")
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
@@ -231,6 +231,8 @@ def coefficient_a(j: int, k: int) -> Fraction:
 
     appearing in the logarithmic closed form of 2F1(m, 1; m+2k+1; x).
     """
+    from fractions import Fraction
+
     if j < 0 or k < 0:
         raise DomainError("indices must be nonnegative")
     total = sum((Fraction(math.comb(2 * k, i) * (-1) ** i, j - i)
@@ -274,6 +276,8 @@ def gauss_2f1_closed(m: int, k: int, x: float) -> float:
     any reasonable working precision budget for large m + 2k and the
     direct series must be used instead, so the closed form refuses.
     """
+    from decimal import Decimal, localcontext
+
     if m < 1 or k < 0:
         raise DomainError("need m >= 1 and k >= 0")
     if not 0.1 <= x < 1.0:

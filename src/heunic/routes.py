@@ -7,8 +7,8 @@ dataclass reads its flags from the fields and builds ``Cls(**params)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from dataclasses import fields
+from typing import Callable, Iterable, NamedTuple
 
 from . import coincidence
 from .closed_forms import (FamilyParamsNeg, FamilyParamsPos, eval_family_negative,
@@ -23,8 +23,7 @@ from .series import (DEFAULT_OPTIONS, ConfluentHeunParams, EvalResult, GeneralHe
 Route = Callable[..., EvalResult]
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(NamedTuple):
     """One evaluation target: its parameter names and routes, in crosscheck's order."""
 
     flags: tuple[str, ...]      # parameter names, in the order usage errors list them

@@ -443,6 +443,41 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-n", "100000"], "--max-n must be at most 200"),
+        (["--max-n", "201"], "--max-n must be at most 200"),
+        (["--max-n", "3", "--trials", "1000000000"], "--trials must be at most 10000"),
+        (["--max-n", "3", "--trials", "10001"], "--trials must be at most 10000"),
+    ], ids=["max-n-1e5", "max-n-201", "trials-1e9", "trials-10001"])
+    def test_work_past_its_cap_is_usage_error(self, argv, message):
+        # in a subprocess: an uncapped verify here runs for minutes to days
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "heunic.cli", "verify", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_caps_admit_their_bounds(self, monkeypatch):
+        # no relation, so that 10000 trials cost nothing; --max-n 200 is
+        # checked before --trials is refused, and refused before any work
+        from heunic import relations
+
+        monkeypatch.setattr(relations, "RELATION_IDS", ())
+        report, out, _ = invoke(["verify", "--max-n", "2", "--trials", "10000"])
+        assert report.code == 0
+        assert out.endswith("verification: PASS\n")
+        report, out, err = invoke(["verify", "--max-n", "200", "--trials", "0"])
+        assert (report.code, out, err) == (2, "", "error: --trials must be positive\n")
+
+    def test_help_names_every_mutation_site(self, capsys):
+        from heunic import IDENTITY_A_SITES
+
+        assert invoke(["verify", "--help"])[0].code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(site 0..{len(IDENTITY_A_SITES) - 1})" in help_text
+
     def test_seed_changes_residuals_not_outcome(self):
         r0, out0, _ = invoke(["verify", "--max-n", "5", "--trials", "5",
                               "--seed", "0"])
