@@ -32,7 +32,7 @@ def main():
         value, estimate = k_derivative_quadrature(n, j, 0.0)
         exact = (-n) ** j * math.comb(2 * j, j)
         print(f"  n={n:2d} j={j}: quadrature = {value:.6e}, exact = {exact}, "
-              f"doubling estimate = {estimate:.1e}")
+              f"trapezoid estimate = {estimate:.1e}")
 
     print("\nNormalized derivatives vs the independent confluent series")
     for n, j, x in [(1, 1, 0.2), (3, 2, 0.5), (5, 4, 0.9)]:

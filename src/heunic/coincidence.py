@@ -33,7 +33,9 @@ derivatives are also available through the integral representation
     K_n^(j)(x) = (2/pi) 4^j (-n)^j Int_0^{pi/2} (sin t)^{2j} e^{-4nx sin^2 t} dt,
 
 whose x = 0 value (-n)^j C(2j,j) pins down the normalization of the
-related confluent solutions.
+related confluent solutions.  Its integrand is analytic with period pi,
+so one equispaced trapezoidal rule, doubled until two rules agree,
+evaluates K, K^(j) and that confluent family alike.
 """
 
 from __future__ import annotations
@@ -355,73 +357,58 @@ def eval_K(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
     return _mode_sum(weight * weight, m, lam, 0.0, 1.0, opts.rel_tol, budget)
 
 
-def _legendre_near_one(n: int, u: float) -> tuple[float, float]:
-    """(P_n(x), P_{n-1}(x)) at x = 1 - u.
+# The finest trapezoidal rule; 2^20 nodes take a few tenths of a second
+_MAX_NODES = 1 << 20
 
-    The three-term recurrence is run on the differences P_k - P_{k-1},
-    which keeps the rounding error small near x = 1 and lets u carry the
-    node's distance from the end point to full relative precision.
+
+def _trapezoid_sum(a: float, j: int, nodes: int, step: int) -> float:
+    """Sum of s^j e^(-a s) at s = sin^2(i pi/nodes), i = 1, 1 + step, ... < nodes/2.
+
+    The nodes from one step past t = asin(sqrt(746/a)) on are skipped:
+    there a s > 745.2, and e^(-a s) is 0.
     """
-    p, d = 1.0, -u
-    for k in range(1, n):
-        p += d
-        d = (k * d - (2 * k + 1) * u * p) / (k + 1)
-    return p + d, p
+    h = math.pi / nodes
+    stop = nodes // 2
+    if a > 746.0:
+        stop = min(stop, int(math.asin(math.sqrt(746.0 / a)) / h) + 2)
+    return math.fsum(s**j * math.exp(-a * s)
+                     for s in [math.sin(h * i) ** 2 for i in range(1, stop, step)])
 
 
-_FIXED_BITS = 128
+def _k_mean(a: float, j: int) -> EvalResult:
+    """(2/pi) 4^j Int_0^{pi/2} (sin t)^{2j} e^{-a sin^2 t} dt, as 4^j times
+    the mean of s^j e^(-a s), s = sin^2 t, over one period.
 
-
-def _legendre_weight(n: int, u: float) -> float:
-    """Gauss-Legendre weight 2 / ((1 - x^2) P_n'(x)^2) at the node x = 1 - u.
-
-    P_n' = n (P_{n-1} - x P_n) / (1 - x^2) is formed in 128-bit fixed
-    point at the float node exactly; in double precision the recurrence's
-    rounding would cost about 4e-14 of the weight.
+    The integrand is analytic with period pi, so the equispaced trapezoidal
+    rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    t and pi - t share s: only t <= pi/2 is evaluated, where t is formed
+    next to the peak at t = 0.  The rule starts at the power of two of
+    nodes from 4 sqrt(a + j), which resolves the peak of width 1/sqrt(a),
+    and doubles, reusing every node, until two means agree to (j + 4) eps
+    of the value; their difference plus that floor is the estimate.  Means
+    that still differ at the cap of _MAX_NODES nodes are not converged; a
+    mean near the underflow is not converged either, with an infinite
+    estimate.
     """
-    one = 1 << _FIXED_BITS
-    num, den = u.as_integer_ratio()
-    x = one - (num << _FIXED_BITS) // den
-    p0, p1 = one, x
-    for k in range(1, n):
-        p0, p1 = p1, (((2 * k + 1) * x * p1 >> _FIXED_BITS) - k * p0) // (k + 1)
-    slope = (p0 - (x * p1 >> _FIXED_BITS)) / one
-    return 2.0 * u * (2.0 - u) / (n * slope) ** 2
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre_quarter(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre rule mapped onto [0, pi/2] by t = (pi/4)(1 + x).
-
-    Returns (sin(t)^2, weight) per node for an even node count.  Each
-    root x = +-(1 - u) of P_nodes is found by Newton's method on u from
-    Tricomi's estimate; the root and its mirror share the weight.
-    """
-    n = nodes
-    s2: list[float] = []
-    ws: list[float] = []
-    for i in range(n // 2):
-        theta = math.pi * (i + 0.75) / (n + 0.5)
-        u = 2.0 * math.sin(0.5 * theta) ** 2 + (n - 1) / (8.0 * n**3) * math.cos(theta)
-        for _ in range(8):
-            pn, pm = _legendre_near_one(n, u)
-            du = pn * u * (2.0 - u) / (n * (pm - (1.0 - u) * pn))
-            u += du
-            if abs(du) <= 1e-12 * u:
-                # quadratic convergence: this step reached full precision
-                break
-        w = _legendre_weight(n, u) * (math.pi / 4.0)
-        s2 += (math.sin(0.25 * math.pi * u) ** 2, math.cos(0.25 * math.pi * u) ** 2)
-        ws += (w, w)
-    return tuple(s2), tuple(ws)
-
-
-def _k_derivative_scaled(n: int, j: int, x: float, nodes: int) -> float:
-    """(2/pi) 4^j Int_0^{pi/2} (sin t)^{2j} exp(-4nx sin^2 t) dt."""
-    s2, w = _gauss_legendre_quarter(nodes)
-    rate = -4.0 * n * x
-    integral = math.fsum(wi * si**j * math.exp(rate * si) for si, wi in zip(s2, w))
-    return (2.0 / math.pi) * 4**j * integral
+    width = 4.0 * math.sqrt(a + j)
+    nodes = 8
+    while nodes < width and nodes < _MAX_NODES // 2:
+        nodes *= 2
+    # the ends t = 0 and pi/2; s = 0 is given directly, so that a = inf is no 0 * inf
+    total = (1.0 if j == 0 else 0.0) + math.exp(-a) + 2.0 * _trapezoid_sum(a, j, nodes, 1)
+    while True:
+        coarse = total / nodes
+        nodes *= 2
+        total += 2.0 * _trapezoid_sum(a, j, nodes, 2)
+        mean = total / nodes
+        diff, floor = abs(mean - coarse), (j + 4) * _EPS * mean
+        if diff <= floor or nodes == _MAX_NODES:
+            break
+    value = math.ldexp(mean, 2 * j)
+    # below 2^-970 the subnormal terms, each off by up to 2^-1075, may cost digits
+    if mean < 2.0**-970:
+        return EvalResult(value, nodes, False, math.inf)
+    return EvalResult(value, nodes, diff <= floor, math.ldexp(diff + floor, 2 * j))
 
 
 def _check_quadrature(n: int, j: int, x: float) -> None:
@@ -432,18 +419,24 @@ def _check_quadrature(n: int, j: int, x: float) -> None:
         raise DomainError("the integral representation needs x >= 0")
 
 
-def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
-    """K_n^(j)(x) by 64-node quadrature doubled once for an error estimate.
-
-    Returns (value, estimate) where the value comes from the finer rule;
-    the estimate carries a floor of a few roundings of the value, since
-    both rules agree to the last bit wherever the integrand is smooth.
-    """
+def _k_derivative(n: int, j: int, x: float) -> EvalResult:
+    """K_n^(j)(x): (-n)^j times the trapezoidal rule of ``_k_mean``."""
     _check_quadrature(n, j, x)
+    result = _k_mean(4.0 * n * x, j)
     sign = (-1.0) ** j * float(n) ** j
-    coarse = sign * _k_derivative_scaled(n, j, x, 64)
-    fine = sign * _k_derivative_scaled(n, j, x, 128)
-    return fine, abs(fine - coarse) + 4.0 * _EPS * abs(fine)
+    return EvalResult(sign * result.value, result.terms_used, result.converged,
+                      abs(sign) * result.error_estimate)
+
+
+def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
+    """K_n^(j)(x) by the doubling trapezoidal rule, as (value, estimate).
+
+    The value comes from the finer of the two rules that agree; the
+    estimate is their difference plus a floor of (j + 4) roundings of the
+    value, and is infinite where the mean underflows.
+    """
+    result = _k_derivative(n, j, x)
+    return result.value, result.error_estimate
 
 
 def eval_K_derivative(n: int, j: int, x: float) -> float:
@@ -452,9 +445,7 @@ def eval_K_derivative(n: int, j: int, x: float) -> float:
     At x = 0 the integral reduces to a Wallis integral and the value is
     (-n)^j C(2j,j).
     """
-    _check_quadrature(n, j, x)
-    sign = (-1.0) ** j * float(n) ** j
-    return sign * _k_derivative_scaled(n, j, x, 128)
+    return k_derivative_quadrature(n, j, x)[0]
 
 
 def eval_HC_family(n: int, j: int, x: float) -> float:
@@ -464,7 +455,7 @@ def eval_HC_family(n: int, j: int, x: float) -> float:
     the sign factors cancel, leaving a positive integral.
     """
     _check_quadrature(n, j, x)
-    return _k_derivative_scaled(n, j, x, 128) / math.comb(2 * j, j)
+    return _k_mean(4.0 * n * x, j).value / math.comb(2 * j, j)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,6 @@ def _exact(value: float) -> EvalResult:
     return EvalResult(value, 0, True, 0.0)
 
 
-def _quadrature(n: int, j: int, x: float) -> EvalResult:
-    value, error = coincidence.k_derivative_quadrature(n, j, x)
-    return EvalResult(value, 0, True, error)
-
-
 TARGETS: dict[str, Target] = {
     "heun": Target(_flags(GeneralHeunParams), {
         "series": lambda x, opts, **p: eval_heun_local(GeneralHeunParams(**p), x, opts)}),
@@ -63,14 +58,14 @@ TARGETS: dict[str, Target] = {
         for m in GMethod}, default=GMethod.ESTABLISHED.value, index=True),
     "K": Target(("n",), {
         "definitional": lambda x, opts, n: coincidence.eval_K(n, x, opts),
-        "quadrature": lambda x, opts, n: _quadrature(n, 0, x),
+        "quadrature": lambda x, opts, n: coincidence._k_derivative(n, 0, x),
         # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n);
         # 2n stays an integer, so a too-large n is refused as a parameter
         "confluent-series": lambda x, opts, n: eval_confluent_heun(
             ConfluentHeunParams(n, 1.0, 0.0, 0.5, 2 * n), x, opts),
     }, default="definitional", index=True),
     "Kderiv": Target(("n", "j"), {
-        "quadrature": lambda x, opts, n, j: _quadrature(n, j, x)}),
+        "quadrature": lambda x, opts, n, j: coincidence._k_derivative(n, j, x)}),
     "2f1": Target(_flags(Gauss2F1Params), {
         "series": lambda x, opts, **p: gauss_2f1(Gauss2F1Params(**p), x, opts)}),
     "3f2": Target(_flags(Clausen3F2Params), {

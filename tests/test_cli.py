@@ -554,3 +554,27 @@ def test_kept_direct_sum_without_a_correct_digit_exits_3():
                              "--delta", "1", "--x", "0.49"])
     assert report.code == 3
     assert out == "2.4097355636638393e+77\n"
+
+
+@pytest.mark.parametrize("n", ["1000000000000", "1" + "0" * 300], ids=["1e12", "1e300"])
+def test_quadrature_past_its_node_cap_exits_3(n):
+    # K is 5.150e-7 at n = 1e12, x = 0.3: a peak narrower than the finest rule resolves
+    start = time.perf_counter()
+    for target in (["--target", "K", "--method", "quadrature"], ["--target", "Kderiv", "--j", "1"]):
+        report, out, _ = invoke(["eval", *target, "--n", n, "--x", "0.3"])
+        assert report.code == 3, (target, out)
+        assert math.isfinite(float(out))
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (["eval", "--target", "Kderiv", "--n", "10000000", "--j", "1", "--x", "0.5"],
+     -1.2615663083188192e-4),
+    (["table", "--target", "K", "--n", "10000000", "--grid", "0.5", "--method", "quadrature",
+      "--output", "json"], 1.2615662767796592e-4),
+])
+def test_quadrature_resolves_a_narrow_peak(argv, reference):
+    report, out, _ = invoke(argv)
+    assert report.code == 0
+    value = float(out) if argv[0] == "eval" else json.loads(out)[0]["value"]
+    assert abs(value - reference) <= 1e-12 * abs(reference)
