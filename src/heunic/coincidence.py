@@ -47,7 +47,7 @@ from enum import Enum
 
 from .closed_forms import _checked_ratio, _family_sum, _horner, _sample_sum, _times_power
 from .errors import DomainError, PoleError
-from .series import _EPS, DEFAULT_OPTIONS, EvalResult, SeriesOptions
+from .series import _EPS, _LN2, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
 
 class FMethod(Enum):
@@ -361,54 +361,60 @@ def eval_K(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
 _MAX_NODES = 1 << 20
 
 
-def _trapezoid_sum(a: float, j: int, nodes: int, step: int) -> float:
-    """Sum of s^j e^(-a s) at s = sin^2(i pi/nodes), i = 1, 1 + step, ... < nodes/2.
+def _trapezoid_sum(a: float, j: int, m: int, nodes: int, step: int) -> float:
+    """Sum of (2^m s)^j e^(-a s) at s = sin^2(i pi/nodes), i = 1, 1 + step, ... < nodes/2.
 
-    The nodes from one step past t = asin(sqrt(746/a)) on are skipped:
-    there a s > 745.2, and e^(-a s) is 0.
+    For j > 0 each term is formed as (2^m s e^(-a s/j))^j, whose base is at
+    most 1 for the m of ``_k_mean``: neither factor over- or underflows
+    alone.  The nodes from one step past a s = cut on are skipped: there
+    the term, at most 2^(m j) e^(-a s), is 0.
     """
     h = math.pi / nodes
     stop = nodes // 2
-    if a > 746.0:
-        stop = min(stop, int(math.asin(math.sqrt(746.0 / a)) / h) + 2)
-    return math.fsum(s**j * math.exp(-a * s)
-                     for s in [math.sin(h * i) ** 2 for i in range(1, stop, step)])
+    cut = 746.0 + j * max(m, 0) * _LN2
+    if a > cut:
+        stop = min(stop, int(math.asin(math.sqrt(cut / a)) / h) + 2)
+    points = [math.sin(h * i) ** 2 for i in range(1, stop, step)]
+    if j == 0:
+        return math.fsum(math.exp(-a * s) for s in points)
+    c, b = 2.0**m, a / j
+    return math.fsum((c * s * math.exp(-b * s)) ** j for s in points)
 
 
-def _k_mean(a: float, j: int) -> EvalResult:
-    """(2/pi) 4^j Int_0^{pi/2} (sin t)^{2j} e^{-a sin^2 t} dt, as 4^j times
-    the mean of s^j e^(-a s), s = sin^2 t, over one period.
+def _k_mean(a: float, j: int) -> tuple[int, EvalResult]:
+    """(m, r) with r the mean of (2^m s)^j e^(-a s), s = sin^2 t, over one
+    period: (2/pi) 4^j Int_0^{pi/2} (sin t)^{2j} e^{-a sin^2 t} dt is
+    2^((2 - m) j) r.value.
 
-    The integrand is analytic with period pi, so the equispaced trapezoidal
-    rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    t and pi - t share s: only t <= pi/2 is evaluated, where t is formed
-    next to the peak at t = 0.  The rule starts at the power of two of
-    nodes from 4 sqrt(a + j), which resolves the peak of width 1/sqrt(a),
-    and doubles, reusing every node, until two means agree to (j + 4) eps
-    of the value; their difference plus that floor is the estimate.  Means
-    that still differ at the cap of _MAX_NODES nodes are not converged; a
-    mean near the underflow is not converged either, with an infinite
-    estimate.
+    m puts the largest value of the integrand, at s = min(1, j/a), in
+    (2^-j, 1], so the mean neither over- nor underflows where 4^j times it
+    does; m = 0 for j = 0.  The integrand is analytic with period pi, so
+    the equispaced trapezoidal rule converges exponentially (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  t and pi - t share s: only t <= pi/2
+    is evaluated, where t is formed next to the peak at t = 0.  The rule
+    starts at the power of two of nodes from 4 sqrt(a + j), which resolves
+    the peak of width 1/sqrt(a), and doubles, reusing every node, until two
+    means agree to (j + 4) eps of the value; their difference plus that
+    floor is the estimate.  Means that still differ at the cap of
+    _MAX_NODES nodes are not converged.
     """
+    m = math.frexp(math.e * a / j if a >= j else math.exp(a / j))[1] - 1 if j else 0
     width = 4.0 * math.sqrt(a + j)
     nodes = 8
     while nodes < width and nodes < _MAX_NODES // 2:
         nodes *= 2
     # the ends t = 0 and pi/2; s = 0 is given directly, so that a = inf is no 0 * inf
-    total = (1.0 if j == 0 else 0.0) + math.exp(-a) + 2.0 * _trapezoid_sum(a, j, nodes, 1)
+    total = ((1.0 if j == 0 else 0.0) + math.exp(j * m * _LN2 - a)
+             + 2.0 * _trapezoid_sum(a, j, m, nodes, 1))
     while True:
         coarse = total / nodes
         nodes *= 2
-        total += 2.0 * _trapezoid_sum(a, j, nodes, 2)
+        total += 2.0 * _trapezoid_sum(a, j, m, nodes, 2)
         mean = total / nodes
         diff, floor = abs(mean - coarse), (j + 4) * _EPS * mean
         if diff <= floor or nodes == _MAX_NODES:
             break
-    value = math.ldexp(mean, 2 * j)
-    # below 2^-970 the subnormal terms, each off by up to 2^-1075, may cost digits
-    if mean < 2.0**-970:
-        return EvalResult(value, nodes, False, math.inf)
-    return EvalResult(value, nodes, diff <= floor, math.ldexp(diff + floor, 2 * j))
+    return m, EvalResult(mean, nodes, diff <= floor, diff + floor)
 
 
 def _check_quadrature(n: int, j: int, x: float) -> None:
@@ -420,12 +426,18 @@ def _check_quadrature(n: int, j: int, x: float) -> None:
 
 
 def _k_derivative(n: int, j: int, x: float) -> EvalResult:
-    """K_n^(j)(x): (-n)^j times the trapezoidal rule of ``_k_mean``."""
+    """K_n^(j)(x) = (-n)^j 4^j times the mean of ``_k_mean``, formed as
+    (-n 2^(2 - m))^j times its scaled mean: (-n)^j alone overflows where
+    the product does not.  A value near the underflow has lost digits: it
+    is not converged, with an infinite estimate."""
     _check_quadrature(n, j, x)
-    result = _k_mean(4.0 * n * x, j)
-    sign = (-1.0) ** j * float(n) ** j
-    return EvalResult(sign * result.value, result.terms_used, result.converged,
-                      abs(sign) * result.error_estimate)
+    m, result = _k_mean(4.0 * n * x, j)
+    factor = (-float(n) * 2.0 ** (2 - m)) ** j
+    value = factor * result.value
+    if not abs(value) >= 2.0**-970:
+        return EvalResult(value, result.terms_used, False, math.inf)
+    return EvalResult(value, result.terms_used, result.converged,
+                      abs(factor) * result.error_estimate)
 
 
 def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
@@ -433,7 +445,7 @@ def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
 
     The value comes from the finer of the two rules that agree; the
     estimate is their difference plus a floor of (j + 4) roundings of the
-    value, and is infinite where the mean underflows.
+    value, and is infinite where the value nears the underflow.
     """
     result = _k_derivative(n, j, x)
     return result.value, result.error_estimate
@@ -455,7 +467,8 @@ def eval_HC_family(n: int, j: int, x: float) -> float:
     the sign factors cancel, leaving a positive integral.
     """
     _check_quadrature(n, j, x)
-    return _k_mean(4.0 * n * x, j).value / math.comb(2 * j, j)
+    m, result = _k_mean(4.0 * n * x, j)
+    return math.ldexp(result.value, (2 - m) * j) / math.comb(2 * j, j)
 
 
 # ---------------------------------------------------------------------------

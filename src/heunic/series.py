@@ -14,18 +14,18 @@ for the four-singular-point case, and
 
 for the confluent case, which at p = 0 is Gauss's hypergeometric equation
 with (gamma, delta, sigma) = (c, a+b+1-c, -ab).  One kernel,
-``_sum_recurrence``, runs these three recurrences and sums the solution
-and its derivatives in the same loop.  Where a Heun sum cancels or
-overflows, one rescue path, ``_evaluate``, sums the series of the
-equation's ``_conjugate`` times its prefactor.  Evaluation is refused
-outside the disk bounded by the singular point nearest to the origin and
-for non-finite x; analytic continuation is out of scope.
+``_sum_recurrence``, runs these three recurrences on the terms and sums
+the solution and its derivatives in the same loop.  Where a Heun sum
+cancels, one rescue path, ``_evaluate``, sums the series of the equation's
+``_conjugate`` times its prefactor.  Evaluation is refused outside the
+disk bounded by the singular point nearest to the origin and for
+non-finite x; analytic continuation is out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -34,6 +34,11 @@ _EPS = 2.220446049250313e-16
 # consecutive below-tolerance terms required before declaring convergence;
 # three-term recurrences can produce transient small terms
 _STREAK = 3
+
+_LN2 = 0.6931471805599453
+# ln 2 split as in Cody & Waite: F * _LN2_HI is exact for |F| < 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def _is_nonpositive_integer(value: float) -> bool:
@@ -75,7 +80,7 @@ class EvalResult:
 
     ``error_estimate`` is the magnitude of the last computed term when
     the evaluation did not converge; for converged evaluations it also
-    accounts for cancellation among the accumulated terms.
+    accounts for cancellation, and is below the value's magnitude.
     """
 
     value: float
@@ -124,17 +129,17 @@ class GeneralHeunParams:
                 self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
-        """(transformed, [f, f', ..., f^(max_order)](x)) with u = f u(transformed)
-        and f = (1 - x/a)^e, positive throughout the disk: the transformed
-        series often stays sign-definite where the direct one cancels."""
+        """(transformed, log f, its rounding error, [f, ..., f^(max_order)](x) / f)
+        with u = f u(transformed) and f = (1 - x/a)^e, positive in the disk:
+        the transformed series often stays sign-definite where the direct one cancels."""
         exponent, transformed = transform_homotopy(self)
         base = 1.0 - x / self.a
-        pref = []
-        fall = 1.0
-        for i in range(max_order + 1):
-            pref.append(fall * base ** (exponent - i) * (-1.0 / self.a) ** i)
-            fall *= exponent - i
-        return transformed, pref
+        log_base = math.log(base)
+        ratios = [1.0]  # f^(i+1)/f = (e - i) f^(i)/f / (x - a)
+        for i in range(max_order):
+            ratios.append(ratios[-1] * (exponent - i) / (x - self.a))
+        log_err = abs(exponent) * _EPS * (abs(log_base) + abs(1.0 - base) / base)
+        return transformed, exponent * log_base, log_err, ratios
 
 
 @dataclass(frozen=True)
@@ -165,48 +170,46 @@ class ConfluentHeunParams:
                 self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
-        """(conjugate, [f, f', ..., f^(max_order)](x)) with u = f u(conjugate)
-        and f = e^(-4px): u(p, gamma, delta, alpha, sigma; x) = f u(-p, gamma,
-        delta, gamma+delta-alpha, sigma-4*p*gamma; x), whose series is far
-        better conditioned when 4px is large."""
+        """(conjugate, log f, its rounding error, [f, f', ..., f^(max_order)](x) / f)
+        with u = f u(conjugate) and f = e^(-4px): u(p, gamma, delta, alpha,
+        sigma; x) = f u(-p, gamma, delta, gamma+delta-alpha, sigma-4*p*gamma; x),
+        whose series is far better conditioned when 4px is large."""
         conjugate = ConfluentHeunParams(-self.p, self.gamma, self.delta,
                                         self.gamma + self.delta - self.alpha,
                                         self.sigma - 4.0 * self.p * self.gamma)
-        expfac = math.exp(-4.0 * self.p * x)
-        return conjugate, [expfac * (-4.0 * self.p) ** i for i in range(max_order + 1)]
+        log_f = -4.0 * self.p * x
+        return (conjugate, log_f, abs(log_f) * _EPS,
+                [(-4.0 * self.p) ** i for i in range(max_order + 1)])
 
 
-def _sum_recurrence(params, x: float, opts: SeriesOptions,
-                    max_order: int) -> list[EvalResult]:
-    """Run the three-term recurrence and sum u, ..., u^(max_order) in one loop.
+def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
+                    log_f: float = 0.0) -> list[EvalResult]:
+    """Sum e^log_f u, ..., e^log_f u^(max_order) in one loop over the terms.
 
-    Every equation gives c_0 = 1, d*gamma*c_1 = v and, for k >= 1,
-
-        d(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)s + t + u) + v] c_k
-                                  + (k-1+alpha)(rho(k-1) + w) c_{k-1}
-
-    with the nine constants (s, t, u, v, d, rho, w, gamma, alpha) of
-    ``params._recurrence()``, all that is read from ``params``.  Summation
-    stops once every tracked derivative had _STREAK consecutive terms below
-    rel_tol times its partial sum.  Coefficients can overflow doubles long
-    before the terms matter: a non-finite one ends the sum unconverged, so
-    the caller can reroute through its conjugate series.  Error estimates
-    include a cancellation floor of machine epsilon times the sum of
-    absolute terms.
+    From c_{-1} = 0 and c_0 = 1, d(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)s
+    + t + u) + v] c_k + (k-1+alpha)(rho(k-1) + w) c_{k-1}, with the nine
+    constants of ``params._recurrence()``.  It runs on y_k = c_k x^(k -
+    min(k, M)), M = max_order, the size of the terms; the term of order m
+    is y_k x^(min(k, M) - m) k!/(k-m)!.  e^log_f = y_0 2^scale, and scale,
+    kept apart until the end, takes 2^600 from the terms while it is at
+    most -600.  Summation stops once every derivative had _STREAK terms in
+    a row below rel_tol of its sum.  A floor of eps times the sum of
+    absolute terms enters each estimate; a result whose estimate is not
+    below its value has no correct digit and is not converged.
     """
     s, t, u, v, d, rho, w, gamma, alpha = params._recurrence()
-    tol, last_k = opts.rel_tol, opts.max_terms - 1
-    # the c_0 = 1 term is already summed; xk == x^k for the c_k in hand
-    total = abs_total = last = 1.0
-    sums, abs_sums, lasts = ([0.0] * (max_order + 1) for _ in range(3))
-    orders = range(1, max_order + 1)
-    xpow = [1.0] * (max_order + 1)  # xpow[m] == x^(k - m), read for 1 <= m <= k
+    tol, last_k, head = opts.rel_tol, opts.max_terms - 1, max_order + 1
+    scale = round(log_f / _LN2)
+    y = math.exp((log_f - scale * _LN2_HI) - scale * _LN2_LO)
+    y_prev = total = abs_total = last = 0.0
+    sums, abs_sums, lasts = ([0.0] * head for _ in range(3))
+    orders = range(1, head)
+    pows = [1.0] * head  # pows[m] == x^(min(k, M) - m), read for m <= min(k, M)
+    xa = xb = 1.0        # y_{k+1} = xa (P_k y_k + Q_k xb y_{k-1}) / D_k
     streak = 0
-    converged = False
-    c_prev, c, xk = 1.0, v / (d * gamma), x
-    k, kf = 1, 1.0  # kf == float(k): CPython runs float-only arithmetic faster
-    while math.isfinite(c):
-        last = term = c * xk
+    k, kf = 0, 0.0  # kf == float(k): CPython runs float-only arithmetic faster
+    while True:
+        last = term = y * pows[0]
         total += term
         size = abs(term)
         abs_total += size
@@ -214,7 +217,7 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions,
         if max_order:
             ff = kf                    # falling factorial k(k-1)...(k-m+1)
             for m in orders if k >= max_order else range(1, k + 1):
-                lasts[m] = term = c * ff * xpow[m]
+                lasts[m] = term = y * ff * pows[m]
                 sums[m] += term
                 size = abs(term)
                 abs_sums[m] += size
@@ -227,53 +230,57 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions,
             converged = streak >= _STREAK
             k += 1
             break
-        if max_order:
-            xpow.insert(1, xk)
-            xpow.pop()
-        xk *= x
+        if k < max_order:
+            for m in range(k + 1):
+                pows[m] *= x
+        elif k <= head:  # xa = x from k = M on, xb = x from k = M + 1 on
+            xb, xa = xa, x
         j = kf - 1.0
-        c_prev, c = c, (((kf * ((j + gamma) * s + t + u) + v) * c
-                         + (j + alpha) * (rho * j + w) * c_prev)
+        y_prev, y = y, (((kf * ((j + gamma) * s + t + u) + v) * y
+                         + (j + alpha) * (rho * j + w) * xb * y_prev) * xa
                         / (d * (kf + 1.0) * (kf + gamma)))
+        if scale <= -600 and abs(y) > 2.0**600:  # move 2^600 into scale
+            scale += 600
+            y *= 2.0**-600
+            y_prev *= 2.0**-600
+            total *= 2.0**-600
+            abs_total *= 2.0**-600
+            for m in orders:
+                sums[m] *= 2.0**-600
+                abs_sums[m] *= 2.0**-600
         k += 1
         kf += 1.0
     sums[0], abs_sums[0], lasts[0] = total, abs_total, last
     results = []
-    for m in range(max_order + 1):
+    for m in range(head):
         est = abs(lasts[m])
         if converged:
             est = max(est, _EPS * abs_sums[m])
-        results.append(EvalResult(sums[m], k, converged, est))
+        value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)
+        results.append(EvalResult(value, k, converged and est < abs(value), est))
     return results
 
 
-def _check_disk(x: float, radius: float) -> None:
-    if not abs(x) < radius:
-        raise DomainError(
-            f"|x| = {abs(x)} is outside the convergence disk |x| < {radius}")
-
-
-def _combine_prefactor(pref: list[float], inner: list[EvalResult],
+def _combine_prefactor(ratios: list[float], log_err: float, inner: list[EvalResult],
                        max_order: int) -> list[EvalResult]:
-    """Leibniz-combine derivatives of prefactor*inner given both sets."""
+    """Leibniz-combine the derivatives of f*v from f^(i)/f and the sums of
+    f v^(i), whose values all carry the rounding of log f: ``log_err``."""
     out = []
     for m in range(max_order + 1):
         value = 0.0
         err = 0.0
         for i in range(m + 1):
-            binom = math.comb(m, i)
-            value += binom * pref[i] * inner[m - i].value
-            err += binom * abs(pref[i]) * inner[m - i].error_estimate
-            err += _EPS * abs(binom * pref[i] * inner[m - i].value)
+            factor = math.comb(m, i) * ratios[i]
+            value += factor * inner[m - i].value
+            err += abs(factor) * inner[m - i].error_estimate
+            err += (_EPS + log_err) * abs(factor * inner[m - i].value)
         out.append(EvalResult(value, inner[m].terms_used, inner[m].converged, err))
     return out
 
 
 def _needs_rescue(result: EvalResult, opts: SeriesOptions) -> bool:
-    if not result.converged or not math.isfinite(result.value):
-        return True
     threshold = max(32.0 * _EPS, 4.0 * opts.rel_tol) * abs(result.value)
-    return result.error_estimate > threshold
+    return not result.converged or result.error_estimate > threshold
 
 
 def _better(direct: list[EvalResult], rescued: list[EvalResult]) -> list[EvalResult]:
@@ -281,35 +288,28 @@ def _better(direct: list[EvalResult], rescued: list[EvalResult]) -> list[EvalRes
         return direct if math.isfinite(direct[0].value) else rescued
     if direct[0].converged != rescued[0].converged:
         return direct if direct[0].converged else rescued
-    return direct if direct[0].error_estimate <= rescued[0].error_estimate else rescued
-
-
-def _without_rescue(direct: list[EvalResult]) -> list[EvalResult]:
-    """The direct sums kept for want of a rescue, each one whose error
-    estimate reaches its value marked not converged: it has no correct digit."""
-    return [replace(r, converged=False) if r.error_estimate >= abs(r.value) else r
-            for r in direct]
+    # a NaN estimate is never smaller: the direct sum is kept
+    return rescued if rescued[0].error_estimate < direct[0].error_estimate else direct
 
 
 def _evaluate(params: GeneralHeunParams | ConfluentHeunParams, x: float,
               opts: SeriesOptions | None, max_order: int) -> list[EvalResult]:
-    """u, ..., u^(max_order) at x by the direct series, falling back to the
-    conjugate series of ``params._conjugate`` times its prefactor where the
-    direct one cancels catastrophically (detected through the error
-    estimate) or overflows."""
+    """u, ..., u^(max_order) at x by the direct series or, where its estimate
+    shows it cancels or it overflows, the conjugate series of
+    ``params._conjugate`` times its prefactor, if that is better."""
     opts = opts or DEFAULT_OPTIONS
-    _check_disk(x, params.radius)
+    if not abs(x) < params.radius:
+        raise DomainError(
+            f"|x| = {abs(x)} is outside the convergence disk |x| < {params.radius}")
     direct = _sum_recurrence(params, x, opts, max_order)
     if not _needs_rescue(direct[0], opts):
         return direct
     try:
-        conjugate, pref = params._conjugate(x, max_order)
-    except (DomainError, ArithmeticError):  # its parameters or prefactor overflow
-        return _without_rescue(direct)
-    if pref[0] == 0.0 or not math.isfinite(pref[0]):  # the rescue would bound nothing
-        return _without_rescue(direct)
-    inner = _sum_recurrence(conjugate, x, opts, max_order)
-    return _better(direct, _combine_prefactor(pref, inner, max_order))
+        conjugate, log_f, log_err, ratios = params._conjugate(x, max_order)
+        inner = _sum_recurrence(conjugate, x, opts, max_order, log_f)
+    except (DomainError, ArithmeticError):  # its parameters or its scaled sum overflow
+        return direct
+    return _better(direct, _combine_prefactor(ratios, log_err, inner, max_order))
 
 
 def eval_heun_local(params: GeneralHeunParams, x: float,

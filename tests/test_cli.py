@@ -548,12 +548,48 @@ def test_hl_hyp_past_its_budget_is_usage_error():
 
 
 def test_kept_direct_sum_without_a_correct_digit_exits_3():
-    # the true value is 4.4e-32; the direct sum, 2.4e77, has no correct digit
+    # the true value is 4.4e-32; neither the direct sum, -6.6e77 +- 8.8e78, nor
+    # the conjugate series, unconverged after 10000 terms, has a correct digit,
+    # and the one with the smaller estimate is printed
     report, out, _ = invoke(["eval", "--target", "heun", "--a", "0.5", "--q", "1",
                              "--alpha", "-200.5", "--beta", "-200.5", "--gamma", "1",
                              "--delta", "1", "--x", "0.49"])
     assert report.code == 3
-    assert out == "2.4097355636638393e+77\n"
+    assert out == "1.5168874278005728e-64\n"
+
+
+@pytest.mark.parametrize("n, grid", [("500", "0.1,0.3,0.5,0.9"), ("2000", "0.9")])
+def test_k_confluent_series_holds_where_n_x_is_large(n, grid):
+    # the terms, not the coefficients, are summed, and e^(-4nx) is carried
+    # apart from them: the three routes of K agree
+    report, out, _ = invoke(["crosscheck", "--target", "K", "--n", n, "--grid", grid,
+                             "--tol", "1e-12"])
+    assert report.code == 0, out
+    report, out, _ = invoke(["eval", "--target", "K", "--n", "500", "--x", "0.3",
+                             "--method", "confluent-series"])
+    assert report.code == 0
+    assert abs(float(out) - 0.023042558415085432) <= 1e-13 * 0.023042558415085432
+
+
+def test_k_confluent_series_past_max_terms_exits_3():
+    # 4nx + 10 sqrt(4nx) = 11839 terms are more than the 10000 allowed
+    report, _, _ = invoke(["eval", "--target", "K", "--n", "3000", "--x", "0.9",
+                           "--method", "confluent-series"])
+    assert report.code == 3
+
+
+def test_k_derivative_beyond_the_float_range_of_its_factors():
+    # (-n)^j = 1e320 overflows and 4^j times the mean underflows; the
+    # reference is mpmath's (-n)^j C(2j,j) 1F1(j+1/2; j+1; -4nx), 64.725896049128526
+    report, out, _ = invoke(["eval", "--target", "Kderiv", "--n", "100000000", "--j", "40",
+                             "--x", "10"])
+    assert report.code == 0
+    assert abs(float(out) - 64.725896049128526) <= 1e-12 * 64.725896049128526
+    # at n = 1e9 the peak is narrower than the finest rule resolves
+    report, out, err = invoke(["eval", "--target", "Kderiv", "--n", "1000000000", "--j", "40",
+                               "--x", "10"])
+    assert report.code == 3 and err == ""
+    assert math.isfinite(float(out))
 
 
 @pytest.mark.parametrize("n", ["1000000000000", "1" + "0" * 300], ids=["1e12", "1e300"])

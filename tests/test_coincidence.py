@@ -270,8 +270,14 @@ class TestKDerivative:
         # 4nx = inf: no node but t = 0 resolves the peak
         result = _k_derivative(10**308, 0, 1.0)
         assert math.isfinite(result.value) and not result.converged
-        # a mean near 1e-310 is subnormal and has lost digits
-        assert not _k_derivative(1, 39, 2.5e8).converged
+        # (-n)^j 4^j and the mean apart would be 3e23 and 3e-311, a subnormal
+        # that has lost digits; the scaled mean keeps them
+        value, err = k_derivative_quadrature(1, 39, 2.5e8)
+        with mpmath.workdps(40):
+            ref = -math.comb(78, 39) * mpmath.hyp1f1(39.5, 40, -1e9)
+        assert 0.0 < err and abs(value - ref) <= err
+        # a value below the normal range, here 1.4e-428, has lost digits itself
+        assert not _k_derivative(1, 60, 2.5e8).converged
 
     def test_value_is_the_fine_rule_of_the_doubled_quadrature(self):
         rng = random.Random("K-derivative-fine-rule")

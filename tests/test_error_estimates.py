@@ -1,8 +1,9 @@
 """Error estimates of the float sums against references mpmath computes here.
 
 A result marked converged must lie within its ``error_estimate`` of the
-true value: the defining sums of F, G and K, summed from their modes, and
-the unit-argument 3F2, extrapolated by Richardson's method.
+true value: the defining sums of F, G and K, summed from their modes, K's
+confluent series, rescued through the prefactor e^(-4nx), and the
+unit-argument 3F2, extrapolated by Richardson's method.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from heunic import (
     Clausen3F2Params,
+    ConfluentHeunParams,
     FMethod,
     GMethod,
     SeriesOptions,
@@ -20,6 +22,7 @@ from heunic import (
     eval_F,
     eval_G,
     eval_K,
+    eval_confluent_heun,
 )
 from heunic.coincidence import _f_definitional
 
@@ -116,6 +119,18 @@ class TestIndexSums:
         for n, x in draws:
             r = eval_K(n, x)
             assert r.converged, (n, x)
+            assert within_estimate(r, K_mp(n, x)), (n, x, r)
+
+    def test_k_confluent_series_sweep(self):
+        # K_n is the confluent solution (n, 1, 0, 1/2, 2n); 4nx log-uniform in
+        # [1, 4000] needs up to about 4700 terms.  The rescue's estimate
+        # counts the rounding of e^(-4nx) itself, |4nx| eps of its value
+        rng = random.Random(105)
+        for _ in range(300):
+            lam, x = 4000.0 ** rng.random(), rng.uniform(0.05, 0.95)
+            n = max(1, round(lam / (4 * x)))
+            r = eval_confluent_heun(ConfluentHeunParams(n, 1.0, 0.0, 0.5, 2.0 * n), x)
+            assert r.converged, (n, x, r)
             assert within_estimate(r, K_mp(n, x)), (n, x, r)
 
     def test_large_arguments_do_not_underflow(self):

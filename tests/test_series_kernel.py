@@ -1,16 +1,19 @@
 """The fused series kernel is bit-identical to a generator-and-sum engine.
 
 The references below are that engine: one generator per equation that
-yields the recurrence coefficients, and a separate loop that sums
-u, u', ..., u^(max_order) from them.  The library runs the same
-recurrence and the same sums in one loop, with the same float operations
-in the same order, so every result must be equal, not close.  Results
-are compared through ``repr`` so that NaN compares safely.
+yields the recurrence's coefficients (P_k, Q_k, D_k), one generator that
+runs the recurrence on the terms and carries their binary exponent, and a
+separate loop that sums u, u', ..., u^(max_order) from those terms.  The
+library runs the same recurrence and the same sums in one loop, with the
+same float operations in the same order, so every result must be equal,
+not close.  Results are compared through ``repr`` so that NaN compares
+safely.
 """
 
 import math
 import random
 
+import mpmath
 import pytest
 
 from heunic import series
@@ -22,57 +25,72 @@ from heunic.series import (
 )
 
 # ---------------------------------------------------------------------------
-# reference engine: two coefficient generators and one summation loop
+# reference engine: two coefficient generators, one term generator and one
+# summation loop
 
 
 def ref_general_coefficients(p):
+    """a(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)(1+a) + a delta + epsilon) + q] c_k
+                                 - (k-1+alpha)(k-1+beta) c_{k-1}, k = 0, 1, ..."""
     a, q, ga, de, ep = p.a, p.q, p.gamma, p.delta, p.epsilon
     al, be = p.alpha, p.beta
-    c_prev = 1.0
-    yield c_prev
-    c_cur = q / (a * ga)
-    yield c_cur
-    k = 1
+    k = 0
     while True:
-        rhs = (k * ((k - 1 + ga) * (1 + a) + a * de + ep) + q) * c_cur
-        rhs -= (k - 1 + al) * (k - 1 + be) * c_prev
-        c_prev, c_cur = c_cur, rhs / (a * (k + 1) * (k + ga))
-        yield c_cur
+        yield ((k * ((k - 1 + ga) * (1 + a) + a * de + ep) + q),
+               -((k - 1 + al) * (k - 1 + be)), a * (k + 1) * (k + ga))
         k += 1
 
 
 def ref_confluent_coefficients(p):
+    """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
+                               + 4p(k-1+alpha) c_{k-1}, k = 0, 1, ..."""
     pp, ga, de, al, si = p.p, p.gamma, p.delta, p.alpha, p.sigma
-    c_prev = 1.0
-    yield c_prev
-    c_cur = -si / ga
-    yield c_cur
-    k = 1
+    k = 0
     while True:
-        rhs = (k * (k - 1 + ga + de - 4 * pp) - si) * c_cur
-        rhs += 4 * pp * (k - 1 + al) * c_prev
-        c_prev, c_cur = c_cur, rhs / ((k + 1) * (k + ga))
-        yield c_cur
+        yield k * (k - 1 + ga + de - 4 * pp) - si, 4 * pp * (k - 1 + al), (k + 1) * (k + ga)
         k += 1
 
 
-def ref_sum_series(coeffs, x, opts, max_order):
+def ref_terms(coeffs, x, max_order, log_f, carries):
+    """(y_k, scale) with y_k 2^scale = e^log_f c_k x^(k - min(k, max_order)),
+    from c_{-1} = 0 and c_0 = 1; each carry of 2^600 is appended to carries."""
+    scale = round(log_f / series._LN2)
+    y = math.exp((log_f - scale * series._LN2_HI) - scale * series._LN2_LO)
+    y_prev = 0.0
+    for k, (P, Q, D) in enumerate(coeffs):
+        yield y, scale
+        a = 1.0 if k < max_order else x          # y_{k+1} / c_{k+1} = a y_k / c_k
+        b = 1.0 if k <= max_order else x         # and b y_{k-1} / c_{k-1} = y_k / c_k
+        y_prev, y = y, (P * y + Q * b * y_prev) * a / D
+        if scale <= -600 and abs(y) > 2.0**600:
+            scale += 600
+            y, y_prev = y * 2.0**-600, y_prev * 2.0**-600
+            carries.append(k)
+
+
+def ref_sum_terms(terms, x, opts, max_order):
     m1 = max_order + 1
     sums = [0.0] * m1
     abs_sums = [0.0] * m1
     last = [0.0] * m1
-    xpow = [0.0] * m1
-    xpow[0] = 1.0
     streak = 0
     k = 0
     converged = False
-    for c in coeffs:
-        if not math.isfinite(c):
-            break
+    scale = None
+    for y, y_scale in terms:
+        if scale is not None and y_scale != scale:
+            factor = 2.0 ** (scale - y_scale)
+            sums = [s * factor for s in sums]
+            abs_sums = [s * factor for s in abs_sums]
+        scale = y_scale
         all_small = True
         ff = 1.0
-        for m in range(min(k, max_order) + 1):
-            term = c * ff * xpow[m]
+        top = min(k, max_order)
+        for m in range(top + 1):
+            xpow = 1.0
+            for _ in range(top - m):
+                xpow *= x
+            term = y * ff * xpow
             sums[m] += term
             abs_sums[m] += abs(term)
             last[m] = term
@@ -89,22 +107,21 @@ def ref_sum_series(coeffs, x, opts, max_order):
             break
         if k >= opts.max_terms:
             break
-        for m in range(max_order, 0, -1):
-            xpow[m] = xpow[m - 1]
-        xpow[0] *= x
     results = []
     for m in range(m1):
         est = abs(last[m])
         if converged:
             est = max(est, series._EPS * abs_sums[m])
-        results.append(EvalResult(sums[m], k, converged, est))
+        value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)
+        results.append(EvalResult(value, k, converged and est < abs(value), est))
     return results
 
 
-def ref_kernel(params, x, opts, max_order):
+def ref_kernel(params, x, opts, max_order, log_f=0.0, carries=None):
     coeffs = (ref_general_coefficients if isinstance(params, GeneralHeunParams)
               else ref_confluent_coefficients)
-    return ref_sum_series(coeffs(params), x, opts, max_order)
+    terms = ref_terms(coeffs(params), x, max_order, log_f, [] if carries is None else carries)
+    return ref_sum_terms(terms, x, opts, max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +132,7 @@ OPTIONS = [SeriesOptions(max_terms=n, rel_tol=tol)
 
 
 def general_point(rng):
-    # a small |a| makes the coefficients overflow before the sum converges
+    # a small |a| makes the coefficients grow like |a|^-k, long before the terms fall
     a = rng.choice([rng.uniform(0.2, 0.9), rng.uniform(1.2, 4.0), rng.uniform(1e-3, 1e-2),
                     rng.uniform(-0.9, -0.2), rng.uniform(-4.0, -1.2)])
     gamma = rng.choice([rng.uniform(0.3, 3.0), rng.uniform(-2.9, -2.1)])
@@ -149,9 +166,9 @@ def test_routes_bit_identical_to_generator_engine(seed, monkeypatch):
     fused = [repr(series._evaluate(p, x, opts, m)) for p, x, opts, m in points]
     calls = []
 
-    def counting_ref(params, x, opts, max_order):
+    def counting_ref(params, x, opts, max_order, log_f=0.0):
         calls.append(params)
-        return ref_kernel(params, x, opts, max_order)
+        return ref_kernel(params, x, opts, max_order, log_f)
 
     monkeypatch.setattr(series, "_sum_recurrence", counting_ref)
     rescued = 0
@@ -176,17 +193,62 @@ def test_kernel_bit_identical_including_tiny_max_terms(max_order):
                     == repr(ref_kernel(params, x, opts, max_order)))
 
 
+# prefactors far below the float range: K's e^(-4nx) at n = 500 and 2000,
+# e^(-3800) at p = -1000, and (1 - x/a)^403 = 2^-2274 of the four-point case
+CARRIED = [
+    (ConfluentHeunParams(500, 1.0, 0.0, 0.5, 1000), 0.9),
+    (ConfluentHeunParams(2000, 1.0, 0.0, 0.5, 4000), 0.9),
+    (ConfluentHeunParams(-1000.0, 1.0, 1.0, 1.0, 1.0), -0.95),
+    (GeneralHeunParams(0.5, 1.0, -200.5, -200.5, 1.0, 1.0), 0.49),
+]
+
+
 @pytest.mark.parametrize("max_order", range(4))
-def test_overflowing_coefficients_abort_identically(max_order, monkeypatch):
-    # the coefficients grow like a^-k = 1000^k and overflow near k = 103,
-    # long before the terms (x/a)^k fall to rel_tol
-    opts = SeriesOptions()
+def test_carried_exponent_bit_identical(max_order, monkeypatch):
+    opts = series.DEFAULT_OPTIONS
+    fused = [repr(series._evaluate(params, x, opts, max_order)) for params, x in CARRIED]
+    carries = []
+
+    def recording_ref(params, x, opts, max_order, log_f=0.0):
+        return ref_kernel(params, x, opts, max_order, log_f, carries)
+
+    monkeypatch.setattr(series, "_sum_recurrence", recording_ref)
+    for (params, x), got in zip(CARRIED, fused):
+        carries.clear()
+        assert got == repr(series._evaluate(params, x, opts, max_order)), (params, x)
+        assert carries, (params, x)  # the rescue carried 2^600 at least once
+
+
+def heun_mp(params, x, max_order):
+    """u, ..., u^(max_order) of the four-point equation at x, termwise in
+    50-digit arithmetic until the terms fall below 1e-40 of every sum."""
+    with mpmath.workdps(50):
+        a, q, al, be, ga, de = (mpmath.mpf(v) for v in (
+            params.a, params.q, params.alpha, params.beta, params.gamma, params.delta))
+        ep, x = al + be + 1 - ga - de, mpmath.mpf(x)
+        sums = [mpmath.mpf(0)] * (max_order + 1)
+        c_prev, c = mpmath.mpf(0), mpmath.mpf(1)
+        for k in range(100000):
+            terms = [c * mpmath.ff(k, m) * x ** (k - m) if k >= m else 0
+                     for m in range(max_order + 1)]
+            sums = [s + t for s, t in zip(sums, terms)]
+            if k > 20 and all(abs(t) <= 1e-40 * abs(s) for s, t in zip(sums, terms)):
+                return sums
+            c_prev, c = c, (((k * ((k - 1 + ga) * (1 + a) + a * de + ep) + q) * c
+                             - (k - 1 + al) * (k - 1 + be) * c_prev) / (a * (k + 1) * (k + ga)))
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("max_order", range(4))
+def test_large_coefficients_match_mpmath(max_order):
+    # the coefficients grow like a^-k = 1000^k and would overflow near k = 103,
+    # long before the terms (x/a)^k fall to rel_tol; the terms do not.  The
+    # 1e-13 beyond the estimate is the recurrence's rounding, which the
+    # estimate does not yet count: u at x = 0.97e-3 is 2.8e-14 off, 30 times it
     params = GeneralHeunParams(1e-3, 2.0, 1.5, -0.5, 0.7, 0.4)
-    xs = (0.97e-3, -0.97e-3, 0.9e-3)
-    for x in xs:
-        got = series._sum_recurrence(params, x, opts, max_order)
-        assert repr(got) == repr(ref_kernel(params, x, opts, max_order))
-        assert not got[0].converged and got[0].terms_used < 200
-    fused = [repr(series._evaluate(params, x, opts, max_order)) for x in xs]
-    monkeypatch.setattr(series, "_sum_recurrence", ref_kernel)
-    assert fused == [repr(series._evaluate(params, x, opts, max_order)) for x in xs]
+    for x in (0.97e-3, -0.97e-3, 0.9e-3):
+        got = series._evaluate(params, x, series.DEFAULT_OPTIONS, max_order)
+        for result, ref in zip(got, heun_mp(params, x, max_order)):
+            assert result.converged, (x, result)
+            assert abs(result.value - ref) <= result.error_estimate + 1e-13 * abs(ref), \
+                (x, result, ref)
