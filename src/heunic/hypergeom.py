@@ -7,10 +7,12 @@ u(1/2, q; 2q, 1; 1, 1; x), which reduces to
 
     (1 - 2x)^(1-2q) * 2F1(1-q, 1/2; 1; 4x(1-x)).
 
-That reduction follows from the closed form of the negative family
-continued to non-integer order combined with the (1 - x/a)-power
-transformation; it gives a route through hypergeometric machinery that
-is fully independent of the local series engine.  The normalizing value
+The 2F1 series has one engine: the series kernel of ``heunic.series``,
+run on Gauss's two-term recurrence.  The reduction above follows from
+the closed form of the negative family continued to non-integer order
+combined with the (1 - x/a)-power transformation; it reaches the Heun
+function through Gauss's recurrence at another argument, not through
+the four-point recurrence of the local series.  The normalizing value
 at the origin of the underlying expansion is the unit-argument
 3F2(1/2, q, q; q+1/2, q+1; 1), exposed through ``clausen_3f2_unit``.
 """
@@ -29,6 +31,7 @@ from .series import (
     EvalResult,
     SeriesOptions,
     _is_nonpositive_integer,
+    _sum_recurrence,
 )
 
 @dataclass(frozen=True)
@@ -48,10 +51,10 @@ class Gauss2F1Params:
         return _is_nonpositive_integer(self.a) or _is_nonpositive_integer(self.b)
 
     def _recurrence(self) -> tuple:
-        """Gauss's equation is the confluent one at p = 0, with (gamma, delta,
-        sigma) = (c, a+b+1-c, -ab): (k+1)(k+c) c_{k+1} = (k+a)(k+b) c_k."""
-        a, b, c = self.a, self.b, self.c
-        return 1.0, a + b + 1.0 - c, 0.0, a * b, 1.0, 0.0, 0.0, c, 0.0
+        """(k+1)(k+c) c_{k+1} = (k+a)(k+b) c_k, with no c_{k-1} term; the
+        kernel forms the coefficient as its two factors, each rounded once,
+        so it does not cancel where (k+a)(k+b) is small."""
+        return self.a, 1.0, self.b, 0.0, 1.0, 0.0, 0.0, self.c, 0.0
 
 
 @dataclass(frozen=True)
@@ -80,37 +83,22 @@ class Clausen3F2Params:
 
 def gauss_2f1(p: Gauss2F1Params, x: float,
               opts: SeriesOptions | None = None) -> EvalResult:
-    """Direct series sum_j (a)_j (b)_j / ((c)_j j!) x^j.
+    """Direct series sum_j (a)_j (b)_j / ((c)_j j!) x^j, summed by the
+    series kernel on the recurrence of ``Gauss2F1Params._recurrence``.
 
-    Requires |x| < 1 unless a or b is a nonpositive integer, in which
-    case the series terminates and any x is accepted.
+    The kernel's estimate, the larger of the last term and eps times the
+    sum of absolute terms, is divided by 1 - r to bound the tail: the term
+    ratio tends to x, so r = min(|x|, 0.999), and r = 0 for a terminating
+    series.  The result is converged only if that bound stays below the
+    value.  Requires |x| < 1 unless a or b is a nonpositive integer, in
+    which case the series terminates and any x is accepted.
     """
-    opts = opts or DEFAULT_OPTIONS
     if abs(x) >= 1.0 and not p.terminates:
         raise DomainError("the series needs |x| < 1 unless it terminates")
-    term = 1.0
-    total = 1.0
-    abs_total = 1.0
-    small = 0
-    j = 0
-    while j + 1 < opts.max_terms:
-        term *= (p.a + j) * (p.b + j) / ((p.c + j) * (j + 1)) * x
-        total += term
-        abs_total += abs(term)
-        j += 1
-        if term == 0.0:
-            # terminating series summed exactly
-            return EvalResult(total, j + 1, True, _EPS * abs_total)
-        if abs(term) <= opts.rel_tol * abs(total):
-            small += 1
-            if small >= 3:
-                ratio = min(abs(x), 0.999) if not p.terminates else 0.0
-                tail = abs(term) * ratio / (1.0 - ratio) if ratio else 0.0
-                return EvalResult(total, j + 1, True,
-                                  max(tail, _EPS * abs_total))
-        else:
-            small = 0
-    return EvalResult(total, j + 1, False, abs(term))
+    result = _sum_recurrence(p, x, opts or DEFAULT_OPTIONS, 0)[0]
+    est = result.error_estimate / (1.0 - (0.0 if p.terminates else min(abs(x), 0.999)))
+    return EvalResult(result.value, result.terms_used,
+                      result.converged and est < abs(result.value), est)
 
 
 def clausen_3f2_unit(p: Clausen3F2Params,

@@ -182,7 +182,8 @@ def gauss_weighted_derivative_sides(a: float, b: float, c: float, m: int,
     (1-x)^(1-a) folded into the power of (1-x); f, ..., f^(m) come from
     the series kernel, which runs the Gauss recurrence of
     ``Gauss2F1Params._recurrence`` and sums every order in one loop.  The
-    right side is evaluated by ``gauss_2f1``, an independent engine.
+    right side is ``gauss_2f1``, the same kernel on the (a+m, b, c+m)
+    series, so the check ties two different Gauss series, not two engines.
     """
     f = [r.value for r in _sum_recurrence(Gauss2F1Params(a, b, c), x, _GAUSS_OPTS, m)]
     s = a + m - 1.0

@@ -122,11 +122,11 @@ class GeneralHeunParams:
         return min(1.0, abs(self.a))
 
     def _recurrence(self) -> tuple:
-        """a(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)(1+a) + a*delta + epsilon) + q] c_k
+        """a(k+1)(k+gamma) c_{k+1} = [k((1+a)k + (gamma-1)(1+a) + a*delta + epsilon) + q] c_k
                                      - (k-1+alpha)(k-1+beta) c_{k-1}"""
         a = self.a
-        return (1 + a, a * self.delta, self.epsilon, self.q, a, -1.0, -self.beta,
-                self.gamma, self.alpha)
+        return (0.0, 1 + a, (self.gamma - 1) * (1 + a) + a * self.delta + self.epsilon,
+                self.q, a, -1.0, -self.beta, self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
         """(transformed, log f, its rounding error, [f, ..., f^(max_order)](x) / f)
@@ -164,10 +164,10 @@ class ConfluentHeunParams:
         return 1.0
 
     def _recurrence(self) -> tuple:
-        """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
+        """(k+1)(k+gamma) c_{k+1} = [k(k+gamma+delta-4p-1) - sigma] c_k
                                    + 4p(k-1+alpha) c_{k-1}"""
-        return (1.0, self.delta, -4 * self.p, -self.sigma, 1.0, 0.0, 4 * self.p,
-                self.gamma, self.alpha)
+        return (0.0, 1.0, self.gamma + self.delta - 4 * self.p - 1, -self.sigma, 1.0, 0.0,
+                4 * self.p, self.gamma, self.alpha)
 
     def _conjugate(self, x: float, max_order: int) -> tuple:
         """(conjugate, log f, its rounding error, [f, f', ..., f^(max_order)](x) / f)
@@ -186,18 +186,22 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
                     log_f: float = 0.0) -> list[EvalResult]:
     """Sum e^log_f u, ..., e^log_f u^(max_order) in one loop over the terms.
 
-    From c_{-1} = 0 and c_0 = 1, d(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)s
-    + t + u) + v] c_k + (k-1+alpha)(rho(k-1) + w) c_{k-1}, with the nine
-    constants of ``params._recurrence()``.  It runs on y_k = c_k x^(k -
-    min(k, M)), M = max_order, the size of the terms; the term of order m
-    is y_k x^(min(k, M) - m) k!/(k-m)!.  e^log_f = y_0 2^scale, and scale,
-    kept apart until the end, takes 2^600 from the terms while it is at
-    most -600.  Summation stops once every derivative had _STREAK terms in
-    a row below rel_tol of its sum.  A floor of eps times the sum of
-    absolute terms enters each estimate; a result whose estimate is not
-    below its value has no correct digit and is not converged.
+    From c_{-1} = 0 and c_0 = 1, d(k+1)(k+gamma) c_{k+1} = [(k+e)(sk + t)
+    + v] c_k + (k-1+alpha)(rho(k-1) + w) c_{k-1}, with the nine constants
+    of ``params._recurrence()``; where the coefficient of c_k factors, as
+    Gauss's (k+a)(k+b) does, each factor is rounded once.  It runs on
+    y_k = c_k x^(k - min(k, M)), M = max_order, the size of the terms; the
+    term of order m is y_k x^(min(k, M) - m) k!/(k-m)!.  e^log_f = y_0
+    2^scale, and scale, kept apart until the end, takes 2^600 from the
+    terms while it is at most -600.  Summation stops once every derivative
+    had _STREAK terms in a row below rel_tol of its sum.  A floor of eps
+    times the sum of absolute terms enters each estimate; a result whose
+    estimate is not below its value has no correct digit and is not
+    converged.  A sum that stops unconverged on a nonzero y_k with
+    |y_k| >= |y_{k-1}|, its terms still growing, has an infinite estimate:
+    its last term bounds nothing.
     """
-    s, t, u, v, d, rho, w, gamma, alpha = params._recurrence()
+    e, s, t, v, d, rho, w, gamma, alpha = params._recurrence()
     tol, last_k, head = opts.rel_tol, opts.max_terms - 1, max_order + 1
     scale = round(log_f / _LN2)
     y = math.exp((log_f - scale * _LN2_HI) - scale * _LN2_LO)
@@ -236,7 +240,7 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
         elif k <= head:  # xa = x from k = M on, xb = x from k = M + 1 on
             xb, xa = xa, x
         j = kf - 1.0
-        y_prev, y = y, (((kf * ((j + gamma) * s + t + u) + v) * y
+        y_prev, y = y, ((((kf + e) * (s * kf + t) + v) * y
                          + (j + alpha) * (rho * j + w) * xb * y_prev) * xa
                         / (d * (kf + 1.0) * (kf + gamma)))
         if scale <= -600 and abs(y) > 2.0**600:  # move 2^600 into scale
@@ -251,9 +255,10 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
         k += 1
         kf += 1.0
     sums[0], abs_sums[0], lasts[0] = total, abs_total, last
+    growing = not converged and y != 0.0 and abs(y) >= abs(y_prev)
     results = []
     for m in range(head):
-        est = abs(lasts[m])
+        est = math.inf if growing else abs(lasts[m])
         if converged:
             est = max(est, _EPS * abs_sums[m])
         value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)

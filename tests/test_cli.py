@@ -548,14 +548,17 @@ def test_hl_hyp_past_its_budget_is_usage_error():
 
 
 def test_kept_direct_sum_without_a_correct_digit_exits_3():
-    # the true value is 4.4e-32; neither the direct sum, -6.6e77 +- 8.8e78, nor
-    # the conjugate series, unconverged after 10000 terms, has a correct digit,
-    # and the one with the smaller estimate is printed
-    report, out, _ = invoke(["eval", "--target", "heun", "--a", "0.5", "--q", "1",
+    # the true value is 4.4e-32; neither the direct sum, -9.0e76 +- 8.8e78, nor
+    # the conjugate series, stopped after 10000 terms that still grow, has a
+    # correct digit.  The conjugate's estimate is infinite, not its last term,
+    # so the direct sum is kept, with an estimate that shows no correct digit
+    report, out, _ = invoke(["table", "--target", "heun", "--a", "0.5", "--q", "1",
                              "--alpha", "-200.5", "--beta", "-200.5", "--gamma", "1",
-                             "--delta", "1", "--x", "0.49"])
+                             "--delta", "1", "--grid", "0.49"])
     assert report.code == 3
-    assert out == "1.5168874278005728e-64\n"
+    value, estimate = map(float, out.splitlines()[1].split(",")[1:3])
+    assert value == -9.0288860574992083e+76
+    assert 1e78 < estimate < 1e79
 
 
 @pytest.mark.parametrize("n, grid", [("500", "0.1,0.3,0.5,0.9"), ("2000", "0.9")])

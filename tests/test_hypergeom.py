@@ -81,10 +81,7 @@ class TestGauss2F1:
 
     def test_series_kernel_sums_the_gauss_recurrence(self):
         # f, f', f'' on the trial domain of rel_5_2, against mpmath's
-        # f^(i) = (a)_i (b)_i / (c)_i 2F1(a+i, b+i; c+i; x).  The kernel forms
-        # the coefficient ratio as k(k-1+c + a+b+1-c) + ab, which loses
-        # relative accuracy where (k+a)(k+b) nearly vanishes, so the error is
-        # relative to max(1, |f^(i)|), as in rel_5_2's own tests.
+        # f^(i) = (a)_i (b)_i / (c)_i 2F1(a+i, b+i; c+i; x)
         opts = SeriesOptions(max_terms=6000, rel_tol=_EPS)
         rng = random.Random(57)
         with mpmath.workdps(30):
@@ -96,7 +93,32 @@ class TestGauss2F1:
                     ref = (mpmath.rf(a, i) * mpmath.rf(b, i) / mpmath.rf(c, i)
                            * mpmath.hyp2f1(a + i, b + i, c + i, x))
                     assert r.converged
-                    assert abs(r.value - ref) <= 1e-13 * max(1.0, abs(ref)), (a, b, c, x, i)
+                    assert abs(r.value - ref) <= 1e-13 * abs(ref), (a, b, c, x, i)
+
+    def test_factored_coefficient_where_k_plus_a_times_k_plus_b_is_small(self):
+        # (1+a)(1+b) = -1.5e-3: formed as k(k-1+c + a+b+1-c) + ab, the
+        # coefficient cancelled, and f'' was 3.2e-13 off relative
+        a, b, c = -1.0146223965745231, -1.0974360236593632, 1.2480488182524347
+        x = 0.26390302432877843
+        got = _sum_recurrence(Gauss2F1Params(a, b, c), x,
+                              SeriesOptions(6000, 2.22e-16), 2)[2]
+        with mpmath.workdps(40):
+            ref = (mpmath.rf(a, 2) * mpmath.rf(b, 2) / mpmath.rf(c, 2)
+                   * mpmath.hyp2f1(a + 2, b + 2, c + 2, x))
+        assert got.converged
+        assert abs(got.value - ref) <= 1e-15 * abs(ref)
+
+    def test_accuracy_sweep(self):
+        # a, b in (-3, 3), c in (0.5, 3), x in (-0.9, 0.9), against mpmath
+        rng = random.Random(1)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for _ in range(300):
+                p = Gauss2F1Params(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 3))
+                x = rng.uniform(-0.9, 0.9)
+                ref = mpmath.hyp2f1(p.a, p.b, p.c, x)
+                worst = max(worst, float(abs(gauss_2f1(p, x).value - ref) / abs(ref)))
+        assert worst <= 2e-14
 
 
 class TestClausen3F2:

@@ -1,13 +1,14 @@
 """The fused series kernel is bit-identical to a generator-and-sum engine.
 
 The references below are that engine: one generator per equation that
-yields the recurrence's coefficients (P_k, Q_k, D_k), one generator that
-runs the recurrence on the terms and carries their binary exponent, and a
-separate loop that sums u, u', ..., u^(max_order) from those terms.  The
-library runs the same recurrence and the same sums in one loop, with the
-same float operations in the same order, so every result must be equal,
-not close.  Results are compared through ``repr`` so that NaN compares
-safely.
+yields the recurrence's coefficients (P_k, Q_k, D_k), with P_k in the
+library's form (k + e)(s k + t) + v, so that Gauss's (k + a)(k + b) is
+two factors; one generator that runs the recurrence on the terms and
+carries their binary exponent; and a separate loop that sums u, u', ...,
+u^(max_order) from those terms.  The library runs the same recurrence
+and the same sums in one loop, with the same float operations in the
+same order, so every result must be equal, not close.  Results are
+compared through ``repr`` so that NaN compares safely.
 """
 
 import math
@@ -17,6 +18,7 @@ import mpmath
 import pytest
 
 from heunic import series
+from heunic.hypergeom import Gauss2F1Params
 from heunic.series import (
     ConfluentHeunParams,
     EvalResult,
@@ -25,30 +27,45 @@ from heunic.series import (
 )
 
 # ---------------------------------------------------------------------------
-# reference engine: two coefficient generators, one term generator and one
+# reference engine: three coefficient generators, one term generator and one
 # summation loop
 
 
 def ref_general_coefficients(p):
-    """a(k+1)(k+gamma) c_{k+1} = [k((k-1+gamma)(1+a) + a delta + epsilon) + q] c_k
+    """a(k+1)(k+gamma) c_{k+1} = [k((1+a)k + (gamma-1)(1+a) + a delta + epsilon) + q] c_k
                                  - (k-1+alpha)(k-1+beta) c_{k-1}, k = 0, 1, ..."""
     a, q, ga, de, ep = p.a, p.q, p.gamma, p.delta, p.epsilon
     al, be = p.alpha, p.beta
+    t = (ga - 1) * (1 + a) + a * de + ep
     k = 0
     while True:
-        yield ((k * ((k - 1 + ga) * (1 + a) + a * de + ep) + q),
+        yield (k * ((1 + a) * k + t) + q,
                -((k - 1 + al) * (k - 1 + be)), a * (k + 1) * (k + ga))
         k += 1
 
 
 def ref_confluent_coefficients(p):
-    """(k+1)(k+gamma) c_{k+1} = [k(k-1+gamma+delta-4p) - sigma] c_k
+    """(k+1)(k+gamma) c_{k+1} = [k(k+gamma+delta-4p-1) - sigma] c_k
                                + 4p(k-1+alpha) c_{k-1}, k = 0, 1, ..."""
     pp, ga, de, al, si = p.p, p.gamma, p.delta, p.alpha, p.sigma
+    t = ga + de - 4 * pp - 1
     k = 0
     while True:
-        yield k * (k - 1 + ga + de - 4 * pp) - si, 4 * pp * (k - 1 + al), (k + 1) * (k + ga)
+        yield k * (k + t) - si, 4 * pp * (k - 1 + al), (k + 1) * (k + ga)
         k += 1
+
+
+def ref_gauss_coefficients(p):
+    """(k+1)(k+c) c_{k+1} = (k+a)(k+b) c_k, k = 0, 1, ..."""
+    k = 0
+    while True:
+        yield (k + p.a) * (k + p.b), 0.0, (k + 1) * (k + p.c)
+        k += 1
+
+
+REF_COEFFICIENTS = {GeneralHeunParams: ref_general_coefficients,
+                    ConfluentHeunParams: ref_confluent_coefficients,
+                    Gauss2F1Params: ref_gauss_coefficients}
 
 
 def ref_terms(coeffs, x, max_order, log_f, carries):
@@ -77,11 +94,14 @@ def ref_sum_terms(terms, x, opts, max_order):
     k = 0
     converged = False
     scale = None
-    for y, y_scale in terms:
+    y_prev = y = 0.0
+    for y_next, y_scale in terms:
+        y_prev, y = y, y_next
         if scale is not None and y_scale != scale:
             factor = 2.0 ** (scale - y_scale)
             sums = [s * factor for s in sums]
             abs_sums = [s * factor for s in abs_sums]
+            y_prev *= factor
         scale = y_scale
         all_small = True
         ff = 1.0
@@ -107,9 +127,11 @@ def ref_sum_terms(terms, x, opts, max_order):
             break
         if k >= opts.max_terms:
             break
+    # stopped while the terms still grow: the last term bounds nothing
+    growing = not converged and y != 0.0 and abs(y) >= abs(y_prev)
     results = []
     for m in range(m1):
-        est = abs(last[m])
+        est = math.inf if growing else abs(last[m])
         if converged:
             est = max(est, series._EPS * abs_sums[m])
         value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)
@@ -118,9 +140,8 @@ def ref_sum_terms(terms, x, opts, max_order):
 
 
 def ref_kernel(params, x, opts, max_order, log_f=0.0, carries=None):
-    coeffs = (ref_general_coefficients if isinstance(params, GeneralHeunParams)
-              else ref_confluent_coefficients)
-    terms = ref_terms(coeffs(params), x, max_order, log_f, [] if carries is None else carries)
+    coeffs = REF_COEFFICIENTS[type(params)](params)
+    terms = ref_terms(coeffs, x, max_order, log_f, [] if carries is None else carries)
     return ref_sum_terms(terms, x, opts, max_order)
 
 
@@ -147,6 +168,12 @@ def confluent_point(rng):
     params = ConfluentHeunParams(p, gamma, rng.uniform(-2, 3), rng.uniform(-4, 4),
                                  rng.uniform(-4, 4) * max(1.0, abs(p)))
     return params, rng.choice([-1, 1]) * rng.uniform(0.0, 0.95)
+
+
+def gauss_point(rng):
+    # rel_5_2's and the 2f1 route's draws, x up to 0.95
+    params = Gauss2F1Params(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.5, 3))
+    return params, rng.uniform(-0.95, 0.95)
 
 
 def corpus(seed, count):
@@ -185,12 +212,22 @@ def test_routes_bit_identical_to_generator_engine(seed, monkeypatch):
 def test_kernel_bit_identical_including_tiny_max_terms(max_order):
     rng = random.Random(100 + max_order)
     for _ in range(150):
-        params, x = rng.choice([general_point, confluent_point])(rng)
+        params, x = rng.choice([general_point, confluent_point, gauss_point])(rng)
         for opts in (SeriesOptions(max_terms=2, rel_tol=1e-3),
                      SeriesOptions(max_terms=3, rel_tol=1e-15),
                      SeriesOptions(max_terms=max_order + 2, rel_tol=1e-9)):
             assert (repr(series._sum_recurrence(params, x, opts, max_order))
                     == repr(ref_kernel(params, x, opts, max_order)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_gauss_kernel_bit_identical(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(400):
+        params, x = gauss_point(rng)
+        opts, max_order = rng.choice(OPTIONS), rng.randrange(4)
+        assert (repr(series._sum_recurrence(params, x, opts, max_order))
+                == repr(ref_kernel(params, x, opts, max_order))), (params, x, opts, max_order)
 
 
 # prefactors far below the float range: K's e^(-4nx) at n = 500 and 2000,
