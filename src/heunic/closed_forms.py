@@ -17,18 +17,30 @@ The indices of coincidence are members: at theta = 1/2, gamma = 1 the
 negative family is F_n(x) = sum_k C(n,k) C(2k,k) (x^2-x)^k, the sample
 family is F_n(x) at i = 0, and G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x).
 
+Each sum is a terminating Gauss series 2F1(-m, b; c; z), since
+4^k C(m,k) (x^2-x)^k = (-m)_k/k! (4x(1-x))^k:
+
+    negative family   2F1(-n, theta; gamma; 4x(1-x))
+    positive family   (1-2x)^{-2(n-gamma+theta)} 2F1(gamma-n, gamma-theta; gamma; 4x(1-x))
+    sample family     C(2m,m) 2F1(-m, i+1/2; 1/2-m; (1-2x)^2) / (4^m C(i+m,i)), m = n-i
+
+The indices of coincidence are members: F_n(x) = 2F1(-n, 1/2; 1; 4x(1-x))
+is the negative family at theta = 1/2, gamma = 1 and the sample family
+at i = 0, and G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x).
+
 Every float is a dyadic rational p/q, so every closed form at x is one
 integer numerator over one integer denominator.  The integer kernel that
-``coincidence`` and ``hypergeom`` share, ``_horner`` over a coefficient
-table and ``_ratio_horner`` over a term ratio, forms that pair, and the
-route rounds once by the correctly rounded ``int / int``: the float
-nearest the exact value, even where the alternating terms cancel.
+``coincidence`` and ``hypergeom`` share, ``_gauss_sum`` over a
+terminating Gauss series and ``_horner`` over a coefficient table, forms
+that pair, and the route rounds once by the correctly rounded
+``int / int``: the float nearest the exact value, even where the
+alternating terms cancel.
 
 The kernel shifts where it would multiply by a power of two.  Every
 float denominator q is one, so the kernels take its exponent e (q^2 =
 2^e) and shift by e where a general q^2 would multiply; ``_times_power``
-shifts the side of r/q that is a power of two, and the 4^m of the
-closed forms' denominators and coefficient tables is a shift by 2m.
+raises r/2^e as a power of r over one shift, and the 4^m of the closed
+forms' denominators and coefficient tables is a shift by 2m.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ class FamilyParamsNeg:
     gamma: float
 
     def __post_init__(self):
-        if self.n < 0:
+        if not isinstance(self.n, int) or self.n < 0:
             raise DomainError("n must be a nonnegative integer")
         if _is_nonpositive_integer(self.gamma):
             raise DomainError("gamma must not be zero or a negative integer")
@@ -90,7 +102,7 @@ class FamilyParamsPos:
     gamma: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if not isinstance(self.n, int) or self.n < 1:
             raise DomainError("n must be a positive integer")
         if not (float(self.gamma).is_integer() and 0 < self.gamma <= self.n):
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
@@ -105,21 +117,24 @@ def _horner(coeffs: tuple[int, ...], a: int, e: int) -> tuple[int, int]:
     return num, 1 << shift
 
 
-def _ratio_horner(ratios, a: int, e: int) -> tuple[int, int]:
-    """sum_{k=0}^{K} prod_{i<k} (N_i/D_i) (a/2^e)^k as (numerator, denominator).
+def _gauss_sum(m: int, b: tuple[int, int], c: tuple[int, int],
+               a: int, e: int) -> tuple[int, int]:
+    """2F1(-m, b; c; a/2^e) as (numerator, positive denominator), for b and
+    c given as integer ratios (numerator, denominator).
 
-    ``ratios`` yields the integer pairs (N_i, D_i) of consecutive terms
-    from the last, i = K-1, down to the first: 1 + r_0 (1 + r_1 (...)) is
-    built from the inside out.  The denominator returned is positive.
-    The product of the D_i is kept apart from its power of two, so each
-    step multiplies one D_i into a small integer and shifts once.
+    The m+1 terms are nested from the last, 1 + r_0 (1 + r_1 (...)), with
+    r_k = (k-m)(b+k)/((k+1)(c+k)) a/2^e.  The product of the denominators
+    of the r_k is kept apart from its power of two, so each step
+    multiplies it by one small integer and shifts once.
     """
+    bn, bd = b
+    cn, cd = c
     num = den = 1
     shift = 0
-    for n_i, d_i in ratios:
-        den *= d_i
+    for k in reversed(range(m)):
+        den *= (k + 1) * (cn + k * cd) * bd
         shift += e
-        num = (den << shift) + n_i * a * num
+        num = (den << shift) + (k - m) * (bn + k * bd) * cd * a * num
     den <<= shift
     return (num, den) if den > 0 else (-num, -den)
 
@@ -149,41 +164,18 @@ def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool =
     return p, q
 
 
-def _times_power(num: int, den: int, r: int, q: int, k: int) -> float:
-    """(num/den) (r/q)^k for any integer k, rounded once by ``int / int``.
-
-    A side of r/q that is a positive power of two is shifted, not raised.
-    """
-    if k < 0:
-        r, q, k = q, r, -k
-    if r > 0 and r & (r - 1) == 0:
-        return (num << (r.bit_length() - 1) * k) / (den * q**k)
-    if q > 0 and q & (q - 1) == 0:
-        return num * r**k / (den << (q.bit_length() - 1) * k)
-    return num * r**k / (den * q**k)
+def _times_power(num: int, den: int, r: int, e: int, k: int) -> float:
+    """(num/den) (r/2^e)^k for any integer k, rounded once by ``int / int``."""
+    if k >= 0:
+        return num * r**k / (den << e * k)
+    return (num << e * -k) / (den * r**-k)
 
 
-def _family_sum(terms: int, theta: tuple[int, int], gamma: tuple[int, int],
-                a: int, e: int) -> tuple[int, int]:
-    """sum_{k=0}^{terms} 4^k C(terms,k) (theta)_k/(gamma)_k (a/2^e)^k.
-
-    theta and gamma are integer ratios (numerator, denominator), and
-    a/2^e = x^2 - x.
-    """
-    tn, td = theta
-    gn, gd = gamma
-    # 4 (terms-k)/(k+1) * (theta+k)/(gamma+k)
-    return _ratio_horner(((4 * (terms - k) * (tn + k * td) * gd, (k + 1) * td * (gn + k * gd))
-                          for k in reversed(range(terms))), a, e)
-
-
-def _sample_sum(i: int, m: int, a: int, e: int) -> tuple[int, int]:
-    """sum_{j=0}^{m} C(i+j,i) C(2i+2j,i+j)/C(2i,i) C(2m-2j,m-j) (a/2^e)^j
-    over 4^m C(i+m,i), with a/2^e = (1-2x)^2."""
-    # consecutive terms have the ratio (2i+2j+1)(m-j) / ((j+1)(2m-2j-1))
-    num, den = _ratio_horner((((2 * i + 2 * j + 1) * (m - j), (j + 1) * (2 * m - 2 * j - 1))
-                              for j in reversed(range(m))), a, e)
-    # the j = 0 term is C(2m,m)
+def _sample_sum(i: int, m: int, s: int, e: int) -> tuple[int, int]:
+    """C(2m,m) 2F1(-m, i+1/2; 1/2-m; s/2^e) over 4^m C(i+m,i), that is
+    sum_{j=0}^{m} C(i+j,i) C(2i+2j,i+j)/C(2i,i) C(2m-2j,m-j) (s/2^e)^j
+    over 4^m C(i+m,i)."""
+    num, den = _gauss_sum(m, (2 * i + 1, 2), (1 - 2 * m, 2), s, e)
     return math.comb(2 * m, m) * num, math.comb(i + m, i) * den << 2 * m
 
 
@@ -191,7 +183,7 @@ def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
     """Closed form of the negative family; defined for every real x."""
     theta, gamma = fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio()
     p, q = _checked_ratio(x, fp.n, theta, gamma)
-    num, den = _family_sum(fp.n, theta, gamma, p * (p - q), 2 * q.bit_length() - 2)
+    num, den = _gauss_sum(fp.n, theta, gamma, 4 * p * (q - p), 2 * q.bit_length() - 2)
     return num / den
 
 
@@ -215,11 +207,11 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
     if r < 0 and not integral:
         raise DomainError(
             "negative base with non-integer exponent has no real value")
-    num, den = _family_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
-                           p * (p - q), 2 * q.bit_length() - 2)
+    num, den = _gauss_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
+                          4 * p * (q - p), 2 * q.bit_length() - 2)
     if not integral:
         return (r / q) ** exponent * (num / den)
-    return _times_power(num, den, r, q, int(exponent))
+    return _times_power(num, den, r, q.bit_length() - 1, int(exponent))
 
 
 def eval_sample_family(n: int, i: int, x: float) -> float:
@@ -230,7 +222,7 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
         * sum_{j=0}^{n-i} 4^j C(i+j,i) C(2i+2j,i+j) C(2n-2i-2j,n-i-j) (x-1/2)^{2j}
     and is defined for every real x.
     """
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     if not 0 <= i <= n:
         raise DomainError("i must satisfy 0 <= i <= n")

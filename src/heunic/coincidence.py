@@ -45,7 +45,7 @@ import math
 import operator
 from enum import Enum
 
-from .closed_forms import _checked_ratio, _family_sum, _horner, _sample_sum, _times_power
+from .closed_forms import _checked_ratio, _gauss_sum, _horner, _sample_sum, _times_power
 from .errors import DomainError, PoleError
 from .series import _EPS, _LN2, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
@@ -70,8 +70,10 @@ class EntropyKind(Enum):
     TSALLIS = "tsallis"
 
 
-def _require_order(n: int) -> None:
-    if n < 1:
+def _require_order(n: int, integer: bool = True) -> None:
+    """Refuse an order n below 1, beyond the float range, or not an int
+    where the route sums over it; the quadrature takes any real n."""
+    if n < 1 or (integer and not isinstance(n, int)):
         raise DomainError("n must be a positive integer")
     try:
         float(n)
@@ -126,7 +128,7 @@ def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
     w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
     e = 2 * q.bit_length() - 2  # q^2 = 2^e
     if method is FMethod.FACTORED:  # the negative family at theta = 1/2, gamma = 1
-        return _family_sum(m, (1, 2), (1, 1), w, e)
+        return _gauss_sum(m, (1, 2), (1, 1), -4 * w, e)  # 2F1(-m, 1/2; 1; 4x(1-x))
     if method is FMethod.ESTABLISHED:  # the sample family at i = 0
         return _sample_sum(0, m, s, e)
     if method is FMethod.POWER:
@@ -308,9 +310,10 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     if not isinstance(method, GMethod):
         raise DomainError(f"unknown G method {method!r}")
     num, den = _closed_form(n - 1, -x, FMethod(method.value))
-    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and (1+2x)^(1-2n) = (q/r)^(2n-1)
+    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and 1+2x = (q+2p)/q
     p, q = x.as_integer_ratio()
-    return EvalResult(_times_power(num, den, q, q + 2 * p, 2 * n - 1), n, True, 0.0)
+    return EvalResult(_times_power(num, den, q + 2 * p, q.bit_length() - 1, 1 - 2 * n),
+                      n, True, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +421,7 @@ def _k_mean(a: float, j: int) -> tuple[int, EvalResult]:
 
 
 def _check_quadrature(n: int, j: int, x: float) -> None:
-    _require_order(n)
+    _require_order(n, integer=False)
     if j < 0:
         raise DomainError("derivative order j must be nonnegative")
     if not x >= 0.0:

@@ -116,8 +116,9 @@ def clausen_3f2_unit(p: Clausen3F2Params,
     a floor of 4 eps times the sum of absolute terms times the factor by
     which the extrapolation can amplify rounding.  ``opts.max_terms``
     caps N.  A terminating series is summed term by term, without
-    extrapolation.  Raises DivergentSeriesError when s <= 0 and the
-    series does not terminate.
+    extrapolation, and is converged only where its estimate, eps times
+    the sum of absolute terms, stays below its value.  Raises
+    DivergentSeriesError when s <= 0 and the series does not terminate.
     """
     opts = opts or DEFAULT_OPTIONS
     s = p.unit_excess
@@ -140,7 +141,8 @@ def clausen_3f2_unit(p: Clausen3F2Params,
         terms.append(term)
         k += 1
         if term == 0.0 or (abs(term) <= opts.rel_tol * abs(total) and p.terminates):
-            return EvalResult(math.fsum(terms), k + 1, True, _EPS * abs_total)
+            value, est = math.fsum(terms), _EPS * abs_total
+            return EvalResult(value, k + 1, est < abs(value), est)
         if k + 1 == checkpoint and not p.terminates:
             new = [math.fsum(terms)]
             for i, prev in enumerate(row):
@@ -185,10 +187,11 @@ def eval_hl_hypergeometric(q: float, x: float,
     if base < 0.0 and not float(exponent).is_integer():
         raise DomainError(
             "no real branch beyond x = 1/2 for non-integer exponent")
-    if base < 0.0:  # an exact power of |exponent| factors, under the closed forms' budget
-        _checked_ratio(x, abs(int(exponent)))
-    prefactor = base**exponent if base > 0.0 else _times_power(
-        1, 1, *base.as_integer_ratio(), int(exponent))
+    if base > 0.0:
+        prefactor = base**exponent
+    else:  # an exact power of |exponent| factors, under the closed forms' budget
+        p, d = _checked_ratio(x, abs(int(exponent)))  # 1 - 2x = (d - 2p)/d
+        prefactor = _times_power(1, 1, d - 2 * p, d.bit_length() - 1, int(exponent))
     z = 4.0 * x * (1.0 - x)
     scale = 1.0
     if z < 0.0:

@@ -153,6 +153,8 @@ class TestPositiveFamily:
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
+            FamilyParamsPos(0, 0.5, 1)
+        with pytest.raises(DomainError):
             FamilyParamsPos(3, 1.0, 0)
         with pytest.raises(DomainError):
             FamilyParamsPos(3, 1.0, 4)

@@ -12,6 +12,7 @@ from heunic import (
     ConfluentHeunParams,
     DomainError,
     FamilyParamsNeg,
+    FamilyParamsPos,
     EntropyKind,
     FMethod,
     GMethod,
@@ -20,6 +21,7 @@ from heunic import (
     eval_confluent_heun,
     eval_F,
     eval_family_negative,
+    eval_family_positive,
     eval_G,
     eval_HC_family,
     eval_K,
@@ -334,3 +336,24 @@ class TestEntropy:
         with pytest.raises(DomainError):
             entropy(-0.2, EntropyKind.RENYI)
         assert entropy(-0.2, EntropyKind.TSALLIS) == pytest.approx(1.2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_F(2.5, 0.3),
+    lambda: eval_F(3.0, 0.3),
+    lambda: eval_F(2.5, 0.3, FMethod.DEFINITIONAL),
+    lambda: eval_G(2.5, 0.3),
+    lambda: eval_G(2.5, 0.3, GMethod.DEFINITIONAL),
+    lambda: eval_K(2.5, 0.3),
+    lambda: eval_sample_family(2.5, 1, 0.3),
+    lambda: eval_family_negative(FamilyParamsNeg(2.5, 0.3, 1.0), 0.3),
+    lambda: eval_family_positive(FamilyParamsPos(5.5, 0.3, 2), 0.2),
+], ids=["F", "F-integral-float", "F-definitional", "G", "G-definitional", "K",
+        "sample-family", "family-neg", "family-pos"])
+def test_an_order_that_is_not_an_int_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="integer"):
+        call()
+
+
+def test_the_quadrature_takes_a_real_order():
+    assert eval_K_derivative(2.5, 1, 0.3) == -0.7419711081661634

@@ -144,6 +144,28 @@ class TestClausen3F2:
         assert got == pytest.approx(oracle, abs=5e-7)
         assert got == pytest.approx(1.1662436161232751, abs=1e-9)
 
+    def test_terminating_sum_without_a_correct_digit_is_not_converged(self):
+        # the 29 terms cancel: the sum is 32 % off, and its estimate, eps
+        # times the sum of absolute terms, is above the value
+        p = Clausen3F2Params(-28, 2.3411575291837483, 2.759361150156077,
+                             0.8736096162278324, 2.271842607383319)
+        r = clausen_3f2_unit(p)
+        with mpmath.workdps(50):
+            ref = float(mpmath.hyp3f2(-28, mpmath.mpf(p.a2), mpmath.mpf(p.a3),
+                                      mpmath.mpf(p.b1), mpmath.mpf(p.b2), 1))
+        assert not r.converged
+        assert abs(r.value - ref) > 0.3 * abs(ref)
+        assert abs(r.value - ref) <= r.error_estimate
+
+    @pytest.mark.parametrize("max_terms, value, estimate", [
+        (10, 1.3375428063508559, 0.0053), (40, 1.3862935355204538, 0.0153)], ids=["10", "40"])
+    def test_stops_at_max_terms_unconverged(self, max_terms, value, estimate):
+        # 10 terms stop before three Richardson sums exist, 40 after
+        r = clausen_3f2_unit(Clausen3F2Params(0.5, 1, 1, 1.5, 2),
+                             SeriesOptions(max_terms=max_terms))
+        assert (r.value, r.terms_used, r.converged) == (value, max_terms, False)
+        assert r.error_estimate == pytest.approx(estimate, rel=0.01)
+
     def test_divergent_parameters_raise(self):
         with pytest.raises(DivergentSeriesError):
             clausen_3f2_unit(Clausen3F2Params(1.0, 1.0, 1.0, 1.5, 1.5))
@@ -187,6 +209,8 @@ class TestHeunBridge:
             eval_hl_hypergeometric(1.0, 1.0)
         with pytest.raises(DomainError):
             eval_hl_hypergeometric(1.0, 0.5)
+        with pytest.raises(DomainError, match="no real branch"):
+            eval_hl_hypergeometric(0.3, 0.7)
 
 
 class TestExactCoefficients:
@@ -201,6 +225,11 @@ class TestExactCoefficients:
         assert coefficient_a(0, 1) == Fraction(3, 4)
         assert coefficient_a(2, 0) == Fraction(1, 2)
         assert isinstance(coefficient_a(3, 2), Fraction)
+
+    def test_negative_indices_raise(self):
+        for call in (lambda: harmonic(-1), lambda: coefficient_a(-1, 0)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestClosedForm2F1:

@@ -316,6 +316,9 @@ class TestOdeResiduals:
         p = GeneralHeunParams(0.5, -1, -2, 1, 1, 1)
         with pytest.raises(DomainError):
             heun_ode_residual(p, 0.0)
+        for x in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                confluent_ode_residual(ConfluentHeunParams(1.0, 1.5, 0.0, 0.5, 2.0), x)
 
     def test_wide_and_negative_singular_locations(self):
         # |a| > 1 widens the disk to 1; negative a is equally valid
