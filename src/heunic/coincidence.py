@@ -244,7 +244,11 @@ def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
 # F_n routes
 
 
-def _f_definitional(n: int, x: float) -> EvalResult:
+def _f_definitional(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
+    """F_n(x) by its defining sum, summed to eps.  At most ``opts.max_terms``
+    terms are walked, past which the result is not converged; with no
+    ``opts``, as for ``eval_F``, which returns a bare value, the walk may
+    take all n + 1 terms."""
     _require_order(n)
     if not 0.0 <= x <= 1.0:
         raise DomainError("the defining sum for F needs 0 <= x <= 1")
@@ -253,8 +257,8 @@ def _f_definitional(n: int, x: float) -> EvalResult:
     m = (n + 1) * p // q  # the mode of C(n,k) x^k (1-x)^(n-k)
     weight = _binomial_mode_weight(n, m, p, q)
     # n + 1 terms at most: the walk ends by itself at k = 0 and at k = n
-    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p),
-                     _EPS, n + 2)
+    budget = n + 2 if opts is None else min(n + 2, opts.max_terms)
+    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p), _EPS, budget)
 
 
 def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:

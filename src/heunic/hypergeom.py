@@ -115,7 +115,8 @@ def clausen_3f2_unit(p: Clausen3F2Params,
     of the last two differences along the newest row of the table, with
     a floor of 4 eps times the sum of absolute terms times the factor by
     which the extrapolation can amplify rounding.  ``opts.max_terms``
-    caps N.  A terminating series is summed term by term, without
+    caps N; a sum cut before the table has three entries has an
+    infinite estimate.  A terminating series is summed term by term, without
     extrapolation, and is converged only where its estimate, eps times
     the sum of absolute terms, stays below its value.  Raises
     DivergentSeriesError when s <= 0 and the series does not terminate.
@@ -161,7 +162,8 @@ def clausen_3f2_unit(p: Clausen3F2Params,
                     return EvalResult(estimate, k + 1, True, max(est_err, floor))
     if len(row) >= 3:
         return EvalResult(estimate, k + 1, False, est_err)
-    return EvalResult(math.fsum(terms), k + 1, False, abs(term))
+    # too few sums to extrapolate: the last term bounds nothing
+    return EvalResult(math.fsum(terms), k + 1, False, math.inf)
 
 
 def eval_hl_hypergeometric(q: float, x: float,

@@ -49,7 +49,7 @@ TARGETS: dict[str, Target] = {
         "series": lambda x, opts, **p: eval_confluent_heun(ConfluentHeunParams(**p), x, opts)}),
     "F": Target(("n",), {
         # the mode sum's own estimate, not the 0 of an exact closed form
-        "definitional": lambda x, opts, n: coincidence._f_definitional(n, x),
+        "definitional": lambda x, opts, n: coincidence._f_definitional(n, x, opts),
         **{m.value: lambda x, opts, n, m=m: _exact(coincidence.eval_F(n, x, m))
            for m in FMethod if m is not FMethod.DEFINITIONAL}},
         default=FMethod.ESTABLISHED.value, index=True),

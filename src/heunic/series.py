@@ -78,9 +78,12 @@ DEFAULT_OPTIONS = SeriesOptions()
 class EvalResult:
     """Value of a truncated series or quadrature plus diagnostics.
 
-    ``error_estimate`` is the magnitude of the last computed term when
-    the evaluation did not converge; for converged evaluations it also
-    accounts for cancellation, and is below the value's magnitude.
+    When a series did not converge, ``error_estimate`` is the magnitude
+    of its last computed term, or infinity while its terms still grow,
+    since that term then bounds nothing; ``gauss_2f1`` divides the
+    kernel's estimate by 1 - r, r = min(|x|, 0.999), to bound the tail.
+    For converged evaluations it also accounts for cancellation, and is
+    below the value's magnitude.
     """
 
     value: float
@@ -194,52 +197,79 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
     term of order m is y_k x^(min(k, M) - m) k!/(k-m)!.  e^log_f = y_0
     2^scale, and scale, kept apart until the end, takes 2^600 from the
     terms while it is at most -600.  Summation stops once every derivative
-    had _STREAK terms in a row below rel_tol of its sum.  A floor of eps
-    times the sum of absolute terms enters each estimate; a result whose
-    estimate is not below its value has no correct digit and is not
-    converged.  A sum that stops unconverged on a nonzero y_k with
-    |y_k| >= |y_{k-1}|, its terms still growing, has an infinite estimate:
-    its last term bounds nothing.
+    had _STREAK terms in a row below rel_tol of its sum; ``_results``
+    gives each sum its estimate.  There are two loops.  M = 0, u alone,
+    runs a value-only loop; M >= 1 runs the general loop, which also keeps
+    per-order powers of x and sums.  The value-only loop is the general
+    loop at M = 0 without that bookkeeping: the same float operations in
+    the same order, so its results are bit-identical to the general
+    loop's at M = 0.
     """
     e, s, t, v, d, rho, w, gamma, alpha = params._recurrence()
-    tol, last_k, head = opts.rel_tol, opts.max_terms - 1, max_order + 1
+    tol, last_k = opts.rel_tol, opts.max_terms - 1
     scale = round(log_f / _LN2)
     y = math.exp((log_f - scale * _LN2_HI) - scale * _LN2_LO)
-    y_prev = total = abs_total = last = 0.0
+    y_prev = total = abs_total = 0.0
+    xa = xb = 1.0  # y_{k+1} = xa (P_k y_k + Q_k xb y_{k-1}) / D_k
+    streak = 0
+    # kf == float(k) and j == kf - 1: CPython runs float-only arithmetic faster
+    k, j, kf = 0, -1.0, 0.0
+    if not max_order:  # u alone: y_k = c_k x^k, xa = x from k = 0 on, xb = x from k = 1 on
+        while True:
+            total += y
+            size = abs(y)
+            abs_total += size
+            if size > tol * abs(total):
+                streak = 0
+            else:
+                streak += 1
+                if streak >= _STREAK:
+                    break
+            if k >= last_k:
+                break
+            if k <= 1:
+                xb, xa = xa, x
+            y_prev, y = y, ((((kf + e) * (s * kf + t) + v) * y
+                             + (j + alpha) * (rho * j + w) * xb * y_prev) * xa
+                            / (d * (kf + 1.0) * (kf + gamma)))
+            if scale <= -600 and abs(y) > 2.0**600:  # move 2^600 into scale
+                scale += 600
+                y *= 2.0**-600
+                y_prev *= 2.0**-600
+                total *= 2.0**-600
+                abs_total *= 2.0**-600
+            k += 1
+            j, kf = kf, kf + 1.0
+        return _results((total,), (abs_total,), (y,), y, y_prev, streak >= _STREAK,
+                        scale, k + 1)
+    head = max_order + 1
     sums, abs_sums, lasts = ([0.0] * head for _ in range(3))
     orders = range(1, head)
     pows = [1.0] * head  # pows[m] == x^(min(k, M) - m), read for m <= min(k, M)
-    xa = xb = 1.0        # y_{k+1} = xa (P_k y_k + Q_k xb y_{k-1}) / D_k
-    streak = 0
-    k, kf = 0, 0.0  # kf == float(k): CPython runs float-only arithmetic faster
     while True:
         last = term = y * pows[0]
         total += term
         size = abs(term)
         abs_total += size
         small = not size > tol * abs(total)
-        if max_order:
-            ff = kf                    # falling factorial k(k-1)...(k-m+1)
-            for m in orders if k >= max_order else range(1, k + 1):
-                lasts[m] = term = y * ff * pows[m]
-                sums[m] += term
-                size = abs(term)
-                abs_sums[m] += size
-                if size > tol * abs(sums[m]):
-                    small = False
-                ff *= k - m
-            small = small and k >= max_order
+        ff = kf                    # falling factorial k(k-1)...(k-m+1)
+        for m in orders if k >= max_order else range(1, k + 1):
+            lasts[m] = term = y * ff * pows[m]
+            sums[m] += term
+            size = abs(term)
+            abs_sums[m] += size
+            if size > tol * abs(sums[m]):
+                small = False
+            ff *= k - m
+        small = small and k >= max_order
         streak = streak + 1 if small else 0
         if streak >= _STREAK or k >= last_k:
-            converged = streak >= _STREAK
-            k += 1
             break
         if k < max_order:
             for m in range(k + 1):
                 pows[m] *= x
         elif k <= head:  # xa = x from k = M on, xb = x from k = M + 1 on
             xb, xa = xa, x
-        j = kf - 1.0
         y_prev, y = y, ((((kf + e) * (s * kf + t) + v) * y
                          + (j + alpha) * (rho * j + w) * xb * y_prev) * xa
                         / (d * (kf + 1.0) * (kf + gamma)))
@@ -253,16 +283,29 @@ def _sum_recurrence(params, x: float, opts: SeriesOptions, max_order: int,
                 sums[m] *= 2.0**-600
                 abs_sums[m] *= 2.0**-600
         k += 1
-        kf += 1.0
+        j, kf = kf, kf + 1.0
     sums[0], abs_sums[0], lasts[0] = total, abs_total, last
+    return _results(sums, abs_sums, lasts, y, y_prev, streak >= _STREAK, scale, k + 1)
+
+
+def _results(sums, abs_sums, lasts, y: float, y_prev: float, converged: bool,
+             scale: int, terms: int) -> list[EvalResult]:
+    """The kernel's result of each order from its sum, sum of absolute terms
+    and last term, times 2^scale, where y and y_prev are the last two y_k.
+    A sum that stops unconverged on a nonzero y_k with |y_k| >= |y_{k-1}|,
+    its terms still growing, has an infinite estimate: its last term bounds
+    nothing.  Otherwise the estimate is the last term, and for a converged
+    sum at least eps times the sum of absolute terms.  A result whose
+    estimate is not below its value has no correct digit and is not
+    converged."""
     growing = not converged and y != 0.0 and abs(y) >= abs(y_prev)
     results = []
-    for m in range(head):
-        est = math.inf if growing else abs(lasts[m])
+    for total, abs_total, last in zip(sums, abs_sums, lasts):
+        est = math.inf if growing else abs(last)
         if converged:
-            est = max(est, _EPS * abs_sums[m])
-        value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)
-        results.append(EvalResult(value, k, converged and est < abs(value), est))
+            est = max(est, _EPS * abs_total)
+        value, est = math.ldexp(total, scale), math.ldexp(est, scale)
+        results.append(EvalResult(value, terms, converged and est < abs(value), est))
     return results
 
 

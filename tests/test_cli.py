@@ -581,6 +581,25 @@ def test_k_confluent_series_past_max_terms_exits_3():
     assert report.code == 3
 
 
+def test_f_definitional_past_max_terms_exits_3():
+    # the sum to eps takes about 11 sqrt(n x (1 - x)) = 5e8 terms around
+    # the mode; the walk stops at --max-terms
+    argv = ["eval", "--target", "F", "--n", str(10**16), "--x", "0.3",
+            "--method", "definitional"]
+    # in a subprocess: an unbudgeted walk here would not finish
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "heunic.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    start = time.perf_counter()
+    report, out, _ = invoke(argv)
+    assert time.perf_counter() - start < 1.0
+    assert report.code == 3 and math.isfinite(float(out))
+    report, _, _ = invoke([*argv[:4], str(10**13), *argv[5:], "--max-terms", "100"])
+    assert report.code == 3
+
+
 def test_k_derivative_beyond_the_float_range_of_its_factors():
     # (-n)^j = 1e320 overflows and 4^j times the mean underflows; the
     # reference is mpmath's (-n)^j C(2j,j) 1F1(j+1/2; j+1; -4nx), 64.725896049128526

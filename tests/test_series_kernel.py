@@ -216,16 +216,27 @@ def test_kernel_bit_identical_including_tiny_max_terms(max_order):
         for opts in (SeriesOptions(max_terms=2, rel_tol=1e-3),
                      SeriesOptions(max_terms=3, rel_tol=1e-15),
                      SeriesOptions(max_terms=max_order + 2, rel_tol=1e-9)):
-            assert (repr(series._sum_recurrence(params, x, opts, max_order))
-                    == repr(ref_kernel(params, x, opts, max_order)))
+            for at in (x, 0.0, -0.0):  # at x = +-0 the term of order m is m! c_m
+                assert (repr(series._sum_recurrence(params, at, opts, max_order))
+                        == repr(ref_kernel(params, at, opts, max_order))), (params, at, opts)
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_gauss_kernel_bit_identical(seed):
     rng = random.Random(200 + seed)
+    points = []
     for _ in range(400):
         params, x = gauss_point(rng)
-        opts, max_order = rng.choice(OPTIONS), rng.randrange(4)
+        points.append((params, x, rng.choice(OPTIONS), rng.randrange(4)))
+    # terminating sums of u alone: a = -m leaves m + 1 nonzero terms, and
+    # max_terms cuts them one term before the last, at it and one after it
+    for m in (1, 2, 7, 30):
+        params = Gauss2F1Params(-float(m), rng.uniform(-3, 3), rng.uniform(0.5, 3))
+        x = rng.uniform(-0.95, 0.95)
+        for max_terms in (m, m + 1, m + 2):
+            for tol in (1e-3, 1e-15):
+                points.append((params, x, SeriesOptions(max(max_terms, 2), tol), 0))
+    for params, x, opts, max_order in points:
         assert (repr(series._sum_recurrence(params, x, opts, max_order))
                 == repr(ref_kernel(params, x, opts, max_order))), (params, x, opts, max_order)
 
