@@ -40,7 +40,7 @@ def main():
 
     print("\nEntropies of order 2 from the index values")
     for n, x in [(2, 0.5), (4, 0.25)]:
-        s = eval_F(n, x, FMethod.DEFINITIONAL)
+        s = eval_F(n, x, FMethod.DEFINITIONAL).value
         print(f"  F_{n}({x}) = {s:.6f}: "
               f"log-entropy = {entropy(s, EntropyKind.RENYI):.6f}, "
               f"linear entropy = {entropy(s, EntropyKind.TSALLIS):.6f}")

@@ -31,7 +31,7 @@ def main():
         fp = FamilyParamsNeg(n, theta, gamma)
         params = GeneralHeunParams(0.5, -2 * n * theta, -2 * n, 2 * theta,
                                    gamma, gamma)
-        worst = max(relative_spread(eval_family_negative(fp, 0.05 * i),
+        worst = max(relative_spread(eval_family_negative(fp, 0.05 * i).value,
                                     eval_heun_local(params, 0.05 * i).value)
                     for i in range(-9, 10))
         print(f"  n={n:2d} theta={theta} gamma={gamma}: "
@@ -42,7 +42,7 @@ def main():
         fp = FamilyParamsPos(n, theta, gamma)
         params = GeneralHeunParams(0.5, 2 * n * theta, 2 * n, 2 * theta,
                                    float(gamma), float(gamma))
-        worst = max(relative_spread(eval_family_positive(fp, 0.05 * i),
+        worst = max(relative_spread(eval_family_positive(fp, 0.05 * i).value,
                                     eval_heun_local(params, 0.05 * i).value)
                     for i in range(-9, 10))
         print(f"  n={n} theta={theta} gamma={gamma}: "

@@ -22,21 +22,20 @@ from heunic import (
     eval_heun_local,
     eval_K_derivative,
     GeneralHeunParams,
-    k_derivative_quadrature,
 )
 
 
 def main():
     print("Quadrature normalization K_n^(j)(0) = (-n)^j C(2j,j)")
     for n, j in [(1, 1), (2, 3), (10, 6)]:
-        value, estimate = k_derivative_quadrature(n, j, 0.0)
+        r = eval_K_derivative(n, j, 0.0)
         exact = (-n) ** j * math.comb(2 * j, j)
-        print(f"  n={n:2d} j={j}: quadrature = {value:.6e}, exact = {exact}, "
-              f"trapezoid estimate = {estimate:.1e}")
+        print(f"  n={n:2d} j={j}: quadrature = {r.value:.6e}, exact = {exact}, "
+              f"trapezoid estimate = {r.error_estimate:.1e}")
 
     print("\nNormalized derivatives vs the independent confluent series")
     for n, j, x in [(1, 1, 0.2), (3, 2, 0.5), (5, 4, 0.9)]:
-        family = eval_HC_family(n, j, x)
+        family = eval_HC_family(n, j, x).value
         series = eval_confluent_heun(
             ConfluentHeunParams(n, j + 1.0, 0.0, j + 0.5, 2.0 * n * (2 * j + 1)),
             x).value
@@ -45,9 +44,9 @@ def main():
 
     print("\nRate-index equation residual x K'' + (4nx+1) K' + 2n K")
     for n in (1, 4):
-        worst = max(abs(0.1 * i * eval_K_derivative(n, 2, 0.1 * i)
-                        + (4 * n * 0.1 * i + 1) * eval_K_derivative(n, 1, 0.1 * i)
-                        + 2 * n * eval_K_derivative(n, 0, 0.1 * i))
+        worst = max(abs(0.1 * i * eval_K_derivative(n, 2, 0.1 * i).value
+                        + (4 * n * 0.1 * i + 1) * eval_K_derivative(n, 1, 0.1 * i).value
+                        + 2 * n * eval_K_derivative(n, 0, 0.1 * i).value)
                     for i in range(1, 11))
         print(f"  n={n}: worst residual on (0, 1] = {worst:.2e}")
 

@@ -13,10 +13,6 @@ holds for integer n >= 0.  The positive family (integers 0 < gamma <= n)
 
 follows from the negative one through the (1 - x/a)-power transformation.
 
-The indices of coincidence are members: at theta = 1/2, gamma = 1 the
-negative family is F_n(x) = sum_k C(n,k) C(2k,k) (x^2-x)^k, the sample
-family is F_n(x) at i = 0, and G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x).
-
 Each sum is a terminating Gauss series 2F1(-m, b; c; z), since
 4^k C(m,k) (x^2-x)^k = (-m)_k/k! (4x(1-x))^k:
 
@@ -49,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
-from .series import _is_nonpositive_integer
+from .series import EvalResult, _is_nonpositive_integer
 
 __all__ = [
     "FamilyParamsNeg",
@@ -179,15 +175,15 @@ def _sample_sum(i: int, m: int, s: int, e: int) -> tuple[int, int]:
     return math.comb(2 * m, m) * num, math.comb(i + m, i) * den << 2 * m
 
 
-def eval_family_negative(fp: FamilyParamsNeg, x: float) -> float:
+def eval_family_negative(fp: FamilyParamsNeg, x: float) -> EvalResult:
     """Closed form of the negative family; defined for every real x."""
     theta, gamma = fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio()
     p, q = _checked_ratio(x, fp.n, theta, gamma)
     num, den = _gauss_sum(fp.n, theta, gamma, 4 * p * (q - p), 2 * q.bit_length() - 2)
-    return num / den
+    return EvalResult(num / den, fp.n + 1, True, 0.0)
 
 
-def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
+def eval_family_positive(fp: FamilyParamsPos, x: float) -> EvalResult:
     """Prefactored closed form of the positive family.
 
     Raises PoleError at x = 1/2 when the exponent -2(n - gamma + theta)
@@ -209,12 +205,14 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> float:
             "negative base with non-integer exponent has no real value")
     num, den = _gauss_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
                           4 * p * (q - p), 2 * q.bit_length() - 2)
-    if not integral:
-        return (r / q) ** exponent * (num / den)
-    return _times_power(num, den, r, q.bit_length() - 1, int(exponent))
+    if integral:
+        value = _times_power(num, den, r, q.bit_length() - 1, int(exponent))
+    else:
+        value = (r / q) ** exponent * (num / den)
+    return EvalResult(value, fp.n - gamma + 1, True, 0.0)
 
 
-def eval_sample_family(n: int, i: int, x: float) -> float:
+def eval_sample_family(n: int, i: int, x: float) -> EvalResult:
     """Closed form of u(1/2, (i-n)(2i+1); 2(i-n), 2i+1; i+1, i+1; x).
 
     Equals
@@ -229,4 +227,4 @@ def eval_sample_family(n: int, i: int, x: float) -> float:
     p, q = _checked_ratio(x, n - i)
     # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}, and (2i)!!/(2i-1)!! = 4^i / C(2i,i)
     num, den = _sample_sum(i, n - i, (2 * p - q) ** 2, 2 * q.bit_length() - 2)
-    return num / den
+    return EvalResult(num / den, n - i + 1, True, 0.0)

@@ -244,34 +244,29 @@ def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
 # F_n routes
 
 
-def _f_definitional(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
-    """F_n(x) by its defining sum, summed to eps.  At most ``opts.max_terms``
-    terms are walked, past which the result is not converged; with no
-    ``opts``, as for ``eval_F``, which returns a bare value, the walk may
-    take all n + 1 terms."""
+def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED,
+           opts: SeriesOptions | None = None) -> EvalResult:
+    """Index of coincidence F_n(x) by the selected route.
+
+    The closed forms accept any real x: each is an exact sum of n + 1
+    terms, rounded once.  The definitional route needs 0 <= x <= 1 and
+    sums the defining sum from its mode to eps; it walks at most
+    ``opts.max_terms`` terms, past which the result is not converged.
+    """
     _require_order(n)
+    if method is not FMethod.DEFINITIONAL:
+        num, den = _closed_form(n, x, method)
+        return EvalResult(num / den, n + 1, True, 0.0)
     if not 0.0 <= x <= 1.0:
         raise DomainError("the defining sum for F needs 0 <= x <= 1")
+    opts = opts or DEFAULT_OPTIONS
     # the weights at 1 - x are those at x reversed; 1 - x is exact here
     p, q = (1.0 - x if x > 0.5 else x).as_integer_ratio()
     m = (n + 1) * p // q  # the mode of C(n,k) x^k (1-x)^(n-k)
     weight = _binomial_mode_weight(n, m, p, q)
     # n + 1 terms at most: the walk ends by itself at k = 0 and at k = n
-    budget = n + 2 if opts is None else min(n + 2, opts.max_terms)
-    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p), _EPS, budget)
-
-
-def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED) -> float:
-    """Index of coincidence F_n(x) by the selected route.
-
-    The definitional route requires 0 <= x <= 1; the closed forms accept
-    any real x.
-    """
-    if method is FMethod.DEFINITIONAL:
-        return _f_definitional(n, x).value
-    _require_order(n)
-    num, den = _closed_form(n, x, method)
-    return num / den
+    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p), _EPS,
+                     min(n + 2, opts.max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +427,15 @@ def _check_quadrature(n: int, j: int, x: float) -> None:
         raise DomainError("the integral representation needs x >= 0")
 
 
-def _k_derivative(n: int, j: int, x: float) -> EvalResult:
-    """K_n^(j)(x) = (-n)^j 4^j times the mean of ``_k_mean``, formed as
+def eval_K_derivative(n: int, j: int, x: float) -> EvalResult:
+    """j-th derivative of K_n at x >= 0 via the integral representation.
+
+    K_n^(j)(x) is (-n)^j 4^j times the mean of ``_k_mean``, formed as
     (-n 2^(2 - m))^j times its scaled mean: (-n)^j alone overflows where
-    the product does not.  A value near the underflow has lost digits: it
-    is not converged, with an infinite estimate."""
+    the product does not.  At x = 0 the value is (-n)^j C(2j,j).  A value
+    near the underflow has lost digits: it is not converged, with an
+    infinite estimate.
+    """
     _check_quadrature(n, j, x)
     m, result = _k_mean(4.0 * n * x, j)
     factor = (-float(n) * 2.0 ** (2 - m)) ** j
@@ -448,26 +447,12 @@ def _k_derivative(n: int, j: int, x: float) -> EvalResult:
 
 
 def k_derivative_quadrature(n: int, j: int, x: float) -> tuple[float, float]:
-    """K_n^(j)(x) by the doubling trapezoidal rule, as (value, estimate).
-
-    The value comes from the finer of the two rules that agree; the
-    estimate is their difference plus a floor of (j + 4) roundings of the
-    value, and is infinite where the value nears the underflow.
-    """
-    result = _k_derivative(n, j, x)
+    """``eval_K_derivative`` as (value, error_estimate)."""
+    result = eval_K_derivative(n, j, x)
     return result.value, result.error_estimate
 
 
-def eval_K_derivative(n: int, j: int, x: float) -> float:
-    """j-th derivative of K_n at x >= 0 via the integral representation.
-
-    At x = 0 the integral reduces to a Wallis integral and the value is
-    (-n)^j C(2j,j).
-    """
-    return k_derivative_quadrature(n, j, x)[0]
-
-
-def eval_HC_family(n: int, j: int, x: float) -> float:
+def eval_HC_family(n: int, j: int, x: float) -> EvalResult:
     """Confluent solution with parameters (n, j+1, 0, j+1/2, 2n(2j+1)) at x.
 
     Computed as K_n^(j)(x) normalized by its x = 0 value (-n)^j C(2j,j);
@@ -475,7 +460,9 @@ def eval_HC_family(n: int, j: int, x: float) -> float:
     """
     _check_quadrature(n, j, x)
     m, result = _k_mean(4.0 * n * x, j)
-    return math.ldexp(result.value, (2 - m) * j) / math.comb(2 * j, j)
+    shift, central = (2 - m) * j, math.comb(2 * j, j)
+    return EvalResult(math.ldexp(result.value, shift) / central, result.terms_used,
+                      result.converged, math.ldexp(result.error_estimate, shift) / central)
 
 
 # ---------------------------------------------------------------------------

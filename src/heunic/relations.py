@@ -162,7 +162,7 @@ def k_slope_sides(n: int, x: float) -> tuple[float, float]:
     """u(n, 2, 2, 5/2, 6n-2; x) against K_n'(x)/(2n(x-1))."""
     params = ConfluentHeunParams(n, 2.0, 2.0, 2.5, 6.0 * n - 2.0)
     lhs = _solution(params, x)
-    rhs = eval_K_derivative(n, 1, x) / (2.0 * n * (x - 1.0))
+    rhs = eval_K_derivative(n, 1, x).value / (2.0 * n * (x - 1.0))
     return lhs, rhs
 
 

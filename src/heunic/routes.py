@@ -37,35 +37,27 @@ def _flags(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _exact(value: float) -> EvalResult:
-    """A closed form's float, correctly rounded: converged, estimate 0."""
-    return EvalResult(value, 0, True, 0.0)
-
-
 TARGETS: dict[str, Target] = {
     "heun": Target(_flags(GeneralHeunParams), {
         "series": lambda x, opts, **p: eval_heun_local(GeneralHeunParams(**p), x, opts)}),
     "confluent": Target(_flags(ConfluentHeunParams), {
         "series": lambda x, opts, **p: eval_confluent_heun(ConfluentHeunParams(**p), x, opts)}),
     "F": Target(("n",), {
-        # the mode sum's own estimate, not the 0 of an exact closed form
-        "definitional": lambda x, opts, n: coincidence._f_definitional(n, x, opts),
-        **{m.value: lambda x, opts, n, m=m: _exact(coincidence.eval_F(n, x, m))
-           for m in FMethod if m is not FMethod.DEFINITIONAL}},
-        default=FMethod.ESTABLISHED.value, index=True),
+        m.value: lambda x, opts, n, m=m: coincidence.eval_F(n, x, m, opts)
+        for m in FMethod}, default=FMethod.ESTABLISHED.value, index=True),
     "G": Target(("n",), {
         m.value: lambda x, opts, n, m=m: coincidence.eval_G(n, x, m, opts)
         for m in GMethod}, default=GMethod.ESTABLISHED.value, index=True),
     "K": Target(("n",), {
         "definitional": lambda x, opts, n: coincidence.eval_K(n, x, opts),
-        "quadrature": lambda x, opts, n: coincidence._k_derivative(n, 0, x),
+        "quadrature": lambda x, opts, n: coincidence.eval_K_derivative(n, 0, x),
         # K_n is the confluent solution with parameters (n, 1, 0, 1/2, 2n);
         # 2n stays an integer, so a too-large n is refused as a parameter
         "confluent-series": lambda x, opts, n: eval_confluent_heun(
             ConfluentHeunParams(n, 1.0, 0.0, 0.5, 2 * n), x, opts),
     }, default="definitional", index=True),
     "Kderiv": Target(("n", "j"), {
-        "quadrature": lambda x, opts, n, j: coincidence._k_derivative(n, j, x)}),
+        "quadrature": lambda x, opts, n, j: coincidence.eval_K_derivative(n, j, x)}),
     "2f1": Target(_flags(Gauss2F1Params), {
         "series": lambda x, opts, **p: gauss_2f1(Gauss2F1Params(**p), x, opts)}),
     "3f2": Target(_flags(Clausen3F2Params), {
@@ -74,11 +66,11 @@ TARGETS: dict[str, Target] = {
     "hl-hyp": Target(("q",), {
         "hypergeometric": lambda x, opts, q: eval_hl_hypergeometric(q, x, opts)}),
     "family-neg": Target(_flags(FamilyParamsNeg), {
-        "closed": lambda x, opts, **p: _exact(eval_family_negative(FamilyParamsNeg(**p), x))}),
+        "closed": lambda x, opts, **p: eval_family_negative(FamilyParamsNeg(**p), x)}),
     "family-pos": Target(_flags(FamilyParamsPos), {
-        "closed": lambda x, opts, **p: _exact(eval_family_positive(FamilyParamsPos(**p), x))}),
+        "closed": lambda x, opts, **p: eval_family_positive(FamilyParamsPos(**p), x)}),
     "sample-family": Target(("n", "i"), {
-        "closed": lambda x, opts, n, i: _exact(eval_sample_family(n, i, x))}),
+        "closed": lambda x, opts, n, i: eval_sample_family(n, i, x)}),
 }
 
 

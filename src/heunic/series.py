@@ -294,16 +294,14 @@ def _results(sums, abs_sums, lasts, y: float, y_prev: float, converged: bool,
     and last term, times 2^scale, where y and y_prev are the last two y_k.
     A sum that stops unconverged on a nonzero y_k with |y_k| >= |y_{k-1}|,
     its terms still growing, has an infinite estimate: its last term bounds
-    nothing.  Otherwise the estimate is the last term, and for a converged
-    sum at least eps times the sum of absolute terms.  A result whose
-    estimate is not below its value has no correct digit and is not
-    converged."""
+    nothing.  Otherwise the estimate is the last term, and at least eps
+    times the sum of absolute terms, which bounds the rounding of the sum
+    also where the last term is 0.  A result whose estimate is not below
+    its value has no correct digit and is not converged."""
     growing = not converged and y != 0.0 and abs(y) >= abs(y_prev)
     results = []
     for total, abs_total, last in zip(sums, abs_sums, lasts):
-        est = math.inf if growing else abs(last)
-        if converged:
-            est = max(est, _EPS * abs_total)
+        est = math.inf if growing else max(abs(last), _EPS * abs_total)
         value, est = math.ldexp(total, scale), math.ldexp(est, scale)
         results.append(EvalResult(value, terms, converged and est < abs(value), est))
     return results

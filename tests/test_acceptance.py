@@ -65,7 +65,7 @@ def test_criterion_1_f_route_agreement():
     for n in range(1, 21):
         for i in range(101):
             x = i / 100
-            values = [eval_F(n, x, m) for m in FMethod]
+            values = [eval_F(n, x, m).value for m in FMethod]
             lo, hi = min(values), max(values)
             assert hi - lo <= tol * max(abs(lo), abs(hi)), (n, x, values)
     print("\nACCEPTANCE 1: PASS - five F routes pairwise within 1e-12 "
@@ -95,7 +95,7 @@ def test_criterion_3_heun_identification():
         for i in range(-9, 10):
             x = 0.05 * i
             f_series = eval_heun_local(f_params, x, TIGHT).value
-            f_closed = eval_F(n, x, FMethod.ESTABLISHED)
+            f_closed = eval_F(n, x, FMethod.ESTABLISHED).value
             assert scaled_ok(f_series, f_closed, tol), ("F", n, x)
             g_series = eval_heun_local(g_params, -x, TIGHT).value
             g_closed = eval_G(n, x, GMethod.ESTABLISHED, TIGHT).value
@@ -116,7 +116,7 @@ def test_criterion_4_closed_family_agreement():
                 params = GeneralHeunParams(0.5, -2 * n * theta, -2.0 * n,
                                            2 * theta, gamma, gamma)
                 for x in xs:
-                    closed = eval_family_negative(fp, x)
+                    closed = eval_family_negative(fp, x).value
                     series = eval_heun_local(params, x, TIGHT).value
                     assert rel_ok(closed, series, 1e-12), ("neg", n, gamma,
                                                            theta, x)
@@ -127,7 +127,7 @@ def test_criterion_4_closed_family_agreement():
                 params = GeneralHeunParams(0.5, 2 * n * theta, 2.0 * n,
                                            2 * theta, float(gamma), float(gamma))
                 for x in xs:
-                    closed = eval_family_positive(fp, x)
+                    closed = eval_family_positive(fp, x).value
                     series = eval_heun_local(params, x, TIGHT).value
                     assert rel_ok(closed, series, 1e-11), ("pos", n, gamma,
                                                            theta, x)
@@ -187,7 +187,7 @@ def test_criterion_7_derivative_quadrature_and_ode():
     for n in range(1, 11):
         for j in range(7):
             expected = (-n) ** j * math.comb(2 * j, j)
-            got = eval_K_derivative(n, j, 0.0)
+            got = eval_K_derivative(n, j, 0.0).value
             assert abs(got - expected) <= 1e-10 * abs(expected), (n, j)
     for n in range(1, 6):
         for j in range(5):
@@ -195,15 +195,15 @@ def test_criterion_7_derivative_quadrature_and_ode():
                                          2.0 * n * (2 * j + 1))
             for i in range(10):
                 x = 0.1 * i
-                family = eval_HC_family(n, j, x)
+                family = eval_HC_family(n, j, x).value
                 series = eval_confluent_heun(params, x, TIGHT).value
                 assert scaled_ok(family, series, 1e-8), (n, j, x)
     for n in range(1, 6):
         for i in range(1, 11):
             x = 0.1 * i
-            residual = (x * eval_K_derivative(n, 2, x)
-                        + (4 * n * x + 1) * eval_K_derivative(n, 1, x)
-                        + 2 * n * eval_K_derivative(n, 0, x))
+            residual = (x * eval_K_derivative(n, 2, x).value
+                        + (4 * n * x + 1) * eval_K_derivative(n, 1, x).value
+                        + 2 * n * eval_K_derivative(n, 0, x).value)
             assert abs(residual) < 1e-8, (n, x)
     print("\nACCEPTANCE 7: PASS - derivative normalization within 1e-10 "
           "relative; confluent family within 1e-8 of the series; "
@@ -225,7 +225,7 @@ def test_criterion_9_entropy_contract():
     entropies are exactly -log s and 1 - s."""
     samples = []
     for n in (1, 3, 7):
-        samples += [eval_F(n, i / 10, FMethod.DEFINITIONAL) for i in range(11)]
+        samples += [eval_F(n, i / 10, FMethod.DEFINITIONAL).value for i in range(11)]
         samples += [eval_G(n, 0.3 * i, GMethod.DEFINITIONAL, TIGHT).value
                     for i in range(11)]
         samples += [eval_K(n, 0.3 * i, TIGHT).value for i in range(11)]

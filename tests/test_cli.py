@@ -138,7 +138,7 @@ class TestRobustness:
         def overflow(*args):
             raise OverflowError("int too large to convert to float")
 
-        monkeypatch.setattr(coincidence, "_f_definitional", overflow)
+        monkeypatch.setattr(coincidence, "_mode_sum", overflow)
         report, out, err = invoke(["eval", "--target", "F", "--n", "2000",
                                    "--x", "0.3", "--method", "definitional"])
         assert report.code == 3
@@ -150,8 +150,8 @@ class TestRobustness:
                                    "--x", "0.3", "--method", "definitional"])
         assert report.code == 0
         assert err == ""
-        assert abs(float(out) - eval_F(2000, 0.3)) <= 1e-14
-        assert float(out) == eval_F(2000, 0.3, FMethod.DEFINITIONAL)
+        assert abs(float(out) - eval_F(2000, 0.3).value) <= 1e-14
+        assert float(out) == eval_F(2000, 0.3, FMethod.DEFINITIONAL).value
 
     def test_integer_beyond_float_range_is_usage_error(self):
         report, out, err = invoke(["eval", "--target", "K", "--n", "1" + "0" * 330,
@@ -339,7 +339,7 @@ class TestTable:
         assert len(rows) == 5
         for row in rows:
             estimate = float(row["error_estimate"])
-            exact = eval_F(50, float(row["x"]), FMethod.ESTABLISHED)
+            exact = eval_F(50, float(row["x"]), FMethod.ESTABLISHED).value
             assert estimate > 0.0
             assert abs(float(row["value"]) - exact) <= estimate
 

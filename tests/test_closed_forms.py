@@ -51,20 +51,20 @@ class TestPochhammer:
 class TestNegativeFamily:
     @pytest.mark.parametrize("x", [-2.0, 0.0, 0.3, 5.0])
     def test_order_zero_is_one(self, x):
-        assert eval_family_negative(FamilyParamsNeg(0, 0.7, 1.3), x) == 1.0
+        assert eval_family_negative(FamilyParamsNeg(0, 0.7, 1.3), x).value == 1.0
 
     def test_theta_equals_gamma_collapses_to_even_power(self):
         fp = FamilyParamsNeg(1, 1.0, 1.0)
-        assert eval_family_negative(fp, 0.25) == pytest.approx(0.25, abs=1e-16)
+        assert eval_family_negative(fp, 0.25).value == pytest.approx(0.25, abs=1e-16)
         fp3 = FamilyParamsNeg(3, 2.0, 2.0)
-        assert eval_family_negative(fp3, 0.3) == pytest.approx((1 - 0.6) ** 6,
-                                                              rel=1e-15)
+        assert eval_family_negative(fp3, 0.3).value == pytest.approx((1 - 0.6) ** 6,
+                                                                    rel=1e-15)
 
     def test_matches_definitional_index_sum(self):
         fp = FamilyParamsNeg(2, 0.5, 1.0)
-        assert eval_family_negative(fp, 0.5) == pytest.approx(
+        assert eval_family_negative(fp, 0.5).value == pytest.approx(
             binomial_square_sum(2, 0.5), abs=1e-16)
-        assert eval_family_negative(fp, 0.5) == pytest.approx(0.375, abs=1e-16)
+        assert eval_family_negative(fp, 0.5).value == pytest.approx(0.375, abs=1e-16)
 
     @given(ticks=st.integers(-3072, 3072), n=st.integers(0, 8),
            theta=st.floats(-2, 3), gamma=st.floats(0.6, 3))
@@ -85,7 +85,7 @@ class TestNegativeFamily:
                                    gamma, gamma)
         for i in range(-9, 10):
             x = 0.05 * i
-            closed = eval_family_negative(fp, x)
+            closed = eval_family_negative(fp, x).value
             series = eval_heun_local(params, x, TIGHT).value
             assert abs(closed - series) <= 1e-12 * max(abs(closed), abs(series), 1.0)
 
@@ -97,12 +97,12 @@ class TestNegativeFamily:
         lower = FamilyParamsNeg(n, theta + 1.0, gamma + 1.0)
         h = 1e-3
         for x in (-0.2, 0.1, 0.35):
-            fd = (-eval_family_negative(upper, x + 2 * h)
-                  + 8 * eval_family_negative(upper, x + h)
-                  - 8 * eval_family_negative(upper, x - h)
-                  + eval_family_negative(upper, x - 2 * h)) / (12 * h)
+            fd = (-eval_family_negative(upper, x + 2 * h).value
+                  + 8 * eval_family_negative(upper, x + h).value
+                  - 8 * eval_family_negative(upper, x - h).value
+                  + eval_family_negative(upper, x - 2 * h).value) / (12 * h)
             rhs = (4 * (n + 1) * theta / gamma) * (2 * x - 1) \
-                * eval_family_negative(lower, x)
+                * eval_family_negative(lower, x).value
             assert fd == pytest.approx(rhs, abs=1e-6)
 
     def test_rejects_degenerate_gamma(self):
@@ -115,18 +115,18 @@ class TestNegativeFamily:
 class TestPositiveFamily:
     def test_gamma_equals_n_collapses_to_negative_power(self):
         fp = FamilyParamsPos(1, 1.0, 1)
-        assert eval_family_positive(fp, 0.25) == pytest.approx(4.0, rel=1e-15)
+        assert eval_family_positive(fp, 0.25).value == pytest.approx(4.0, rel=1e-15)
         fp4 = FamilyParamsPos(4, 0.5, 4)
-        assert eval_family_positive(fp4, 0.2) == pytest.approx(
+        assert eval_family_positive(fp4, 0.2).value == pytest.approx(
             (1 - 0.4) ** (-1.0), rel=1e-14)
 
     def test_normalized_at_origin(self):
-        assert eval_family_positive(FamilyParamsPos(5, 2.5, 2), 0.0) == 1.0
+        assert eval_family_positive(FamilyParamsPos(5, 2.5, 2), 0.0).value == 1.0
 
     def test_waiting_time_value(self):
         # gamma=1, theta=1/2, n=1 at x=-0.3 equals 1/(1+0.6)
         fp = FamilyParamsPos(1, 0.5, 1)
-        assert eval_family_positive(fp, -0.3) == pytest.approx(0.625, rel=1e-15)
+        assert eval_family_positive(fp, -0.3).value == pytest.approx(0.625, rel=1e-15)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -137,7 +137,7 @@ class TestPositiveFamily:
                                        float(gamma), float(gamma))
             for i in range(-9, 10):
                 x = 0.05 * i
-                closed = eval_family_positive(fp, x)
+                closed = eval_family_positive(fp, x).value
                 series = eval_heun_local(params, x, TIGHT).value
                 assert abs(closed - series) <= 1e-11 * max(abs(closed),
                                                            abs(series), 1.0)
@@ -170,20 +170,20 @@ class TestSampleFamily:
     @pytest.mark.parametrize("x", [-1.0, 0.0, 0.5, 2.0])
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_top_rung_is_constant_one(self, n, x):
-        assert eval_sample_family(n, n, x) == pytest.approx(1.0, rel=1e-15)
+        assert eval_sample_family(n, n, x).value == pytest.approx(1.0, rel=1e-15)
 
     def test_bottom_rung_is_two_outcome_index(self):
         for x in (-0.4, 0.0, 0.3, 0.7):
-            assert eval_sample_family(2, 0, x) == pytest.approx(
+            assert eval_sample_family(2, 0, x).value == pytest.approx(
                 binomial_square_sum(2, x), rel=1e-13)
-        assert eval_sample_family(2, 0, 0.3) == pytest.approx(
-            eval_F(2, 0.3, FMethod.ESTABLISHED), rel=1e-15)
+        assert eval_sample_family(2, 0, 0.3).value == pytest.approx(
+            eval_F(2, 0.3, FMethod.ESTABLISHED).value, rel=1e-15)
 
     def test_midpoint_reduces_to_single_term(self):
         n, i = 4, 1
         expected = (2.0 / 1.0) * 4.0 ** (-n) / math.comb(n, i) \
             * math.comb(2 * i, i) * math.comb(2 * n - 2 * i, n - i)
-        assert eval_sample_family(n, i, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert eval_sample_family(n, i, 0.5).value == pytest.approx(expected, rel=1e-15)
 
     def test_matches_series_engine(self):
         n, i = 3, 1
@@ -191,7 +191,7 @@ class TestSampleFamily:
                                    2.0 * i + 1, i + 1.0, i + 1.0)
         for x in (0.1, 0.2, 0.35, 0.44):
             series = eval_heun_local(params, x, TIGHT).value
-            assert eval_sample_family(n, i, x) == pytest.approx(series, rel=1e-11)
+            assert eval_sample_family(n, i, x).value == pytest.approx(series, rel=1e-11)
 
     def test_index_validation(self):
         with pytest.raises(DomainError):

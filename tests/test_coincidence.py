@@ -1,7 +1,12 @@
 """Indices of coincidence, their routes, derivatives, and entropies."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,6 +19,7 @@ from heunic import (
     FamilyParamsNeg,
     FamilyParamsPos,
     EntropyKind,
+    EvalResult,
     FMethod,
     GMethod,
     SeriesOptions,
@@ -29,7 +35,6 @@ from heunic import (
     k_derivative_quadrature,
 )
 from heunic.closed_forms import eval_sample_family
-from heunic.coincidence import _k_derivative
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
 
@@ -49,11 +54,11 @@ class TestF:
     @pytest.mark.parametrize("method", list(FMethod))
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_value_one_at_origin(self, n, method):
-        assert eval_F(n, 0.0, method) == pytest.approx(1.0, abs=1e-15)
+        assert eval_F(n, 0.0, method).value == pytest.approx(1.0, abs=1e-15)
 
     def test_small_cases(self):
-        assert eval_F(1, 0.25, FMethod.DEFINITIONAL) == pytest.approx(0.625)
-        assert eval_F(2, 0.5, FMethod.ESTABLISHED) == pytest.approx(0.375)
+        assert eval_F(1, 0.25, FMethod.DEFINITIONAL).value == pytest.approx(0.625)
+        assert eval_F(2, 0.5, FMethod.ESTABLISHED).value == pytest.approx(0.375)
 
     def test_definitional_domain(self):
         with pytest.raises(DomainError):
@@ -85,13 +90,13 @@ class TestF:
     def test_routes_agree(self, n):
         for i in range(11):
             x = i / 10
-            values = [eval_F(n, x, m) for m in FMethod]
+            values = [eval_F(n, x, m).value for m in FMethod]
             assert max(values) - min(values) <= 1e-13 * max(values)
 
     @given(n=st.integers(1, 12), x=st.floats(0, 1))
     @settings(max_examples=60, deadline=None)
     def test_bounds_on_unit_interval(self, n, x):
-        value = eval_F(n, x, FMethod.DEFINITIONAL)
+        value = eval_F(n, x, FMethod.DEFINITIONAL).value
         assert 0.0 < value <= 1.0 + 1e-12
 
 
@@ -126,7 +131,7 @@ class TestG:
     @pytest.mark.parametrize("n", [1, 2, 9, 30])
     def test_closed_forms_reflect_F(self, n, x, method):
         # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x); F_0 = 1
-        f = eval_F(n - 1, -x, FMethod(method.value)) if n > 1 else 1.0
+        f = eval_F(n - 1, -x, FMethod(method.value)).value if n > 1 else 1.0
         expected = (1 + 2 * x) ** (1 - 2 * n) * f
         assert eval_G(n, x, method).value == pytest.approx(expected, rel=1e-13)
 
@@ -180,9 +185,9 @@ class TestK:
         # x K'' + (4nx+1) K' + 2n K = 0 on (0, 1]
         for i in range(1, 11):
             x = 0.1 * i
-            K = eval_K_derivative(n, 0, x)
-            dK = eval_K_derivative(n, 1, x)
-            ddK = eval_K_derivative(n, 2, x)
+            K = eval_K_derivative(n, 0, x).value
+            dK = eval_K_derivative(n, 1, x).value
+            ddK = eval_K_derivative(n, 2, x).value
             assert abs(x * ddK + (4 * n * x + 1) * dK + 2 * n * K) < 1e-8
 
     @given(n=st.integers(1, 10), x=st.floats(0, 10))
@@ -228,23 +233,23 @@ class TestKDerivative:
                 oracle = float(sum(
                     c * math.perm(m, j) * x ** (m - j)
                     for m, c in enumerate(coeffs) if m >= j))
-                got = eval_K_derivative(n, j, float(x))
+                got = eval_K_derivative(n, j, float(x)).value
                 assert abs(got - oracle) <= 1e-8 * max(1.0, abs(oracle)), (n, j, x)
 
     def test_zeroth_derivative_is_K(self):
         for n, x in [(1, 0.3), (4, 1.2)]:
-            assert eval_K_derivative(n, 0, x) == pytest.approx(
+            assert eval_K_derivative(n, 0, x).value == pytest.approx(
                 eval_K(n, x).value, abs=1e-12)
 
     def test_origin_values(self):
-        assert eval_K_derivative(2, 1, 0.0) == pytest.approx(-4.0, rel=1e-13)
-        assert eval_K_derivative(1, 2, 0.0) == pytest.approx(6.0, rel=1e-13)
+        assert eval_K_derivative(2, 1, 0.0).value == pytest.approx(-4.0, rel=1e-13)
+        assert eval_K_derivative(1, 2, 0.0).value == pytest.approx(6.0, rel=1e-13)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("j", range(0, 25))
     def test_origin_normalization(self, n, j):
         expected = (-n) ** j * math.comb(2 * j, j)
-        assert abs(eval_K_derivative(n, j, 0.0) - expected) <= 1e-10 * abs(expected)
+        assert abs(eval_K_derivative(n, j, 0.0).value - expected) <= 1e-10 * abs(expected)
 
     def test_first_derivative_against_five_point_stencil(self):
         n, x, h = 1, 0.1, 1e-3
@@ -252,7 +257,7 @@ class TestKDerivative:
               + 8 * eval_K(n, x + h, TIGHT).value
               - 8 * eval_K(n, x - h, TIGHT).value
               + eval_K(n, x - 2 * h, TIGHT).value) / (12 * h)
-        assert eval_K_derivative(n, 1, x) == pytest.approx(fd, abs=1e-9)
+        assert eval_K_derivative(n, 1, x).value == pytest.approx(fd, abs=1e-9)
 
     def test_doubling_error_estimate(self):
         value, err = k_derivative_quadrature(3, 2, 0.4)
@@ -270,7 +275,7 @@ class TestKDerivative:
                 ref = (-n) ** j * math.comb(2 * j, j) * mpmath.hyp1f1(j + 0.5, j + 1, -4 * n * x)
                 assert 0.0 < err and abs(value - ref) <= err, (n, j, x)
         # 4nx = inf: no node but t = 0 resolves the peak
-        result = _k_derivative(10**308, 0, 1.0)
+        result = eval_K_derivative(10**308, 0, 1.0)
         assert math.isfinite(result.value) and not result.converged
         # (-n)^j 4^j and the mean apart would be 3e23 and 3e-311, a subnormal
         # that has lost digits; the scaled mean keeps them
@@ -279,14 +284,14 @@ class TestKDerivative:
             ref = -math.comb(78, 39) * mpmath.hyp1f1(39.5, 40, -1e9)
         assert 0.0 < err and abs(value - ref) <= err
         # a value below the normal range, here 1.4e-428, has lost digits itself
-        assert not _k_derivative(1, 60, 2.5e8).converged
+        assert not eval_K_derivative(1, 60, 2.5e8).converged
 
     def test_value_is_the_fine_rule_of_the_doubled_quadrature(self):
         rng = random.Random("K-derivative-fine-rule")
         for _ in range(200):
             n, j = rng.randint(1, 10**4), rng.randint(0, 12)
             x = rng.choice([0.0, rng.uniform(0, 0.01), rng.uniform(0, 3)])
-            assert eval_K_derivative(n, j, x) == k_derivative_quadrature(n, j, x)[0], (n, j, x)
+            assert eval_K_derivative(n, j, x).value == k_derivative_quadrature(n, j, x)[0], (n, j, x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -305,18 +310,60 @@ class TestKDerivative:
 class TestHCFamily:
     def test_j_zero_is_K(self):
         for n, x in [(1, 0.1), (3, 0.7)]:
-            assert eval_HC_family(n, 0, x) == pytest.approx(
+            assert eval_HC_family(n, 0, x).value == pytest.approx(
                 eval_K(n, x).value, abs=1e-12)
 
     @pytest.mark.parametrize("j", [0, 1, 3])
     def test_normalized_at_origin(self, j):
-        assert eval_HC_family(2, j, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert eval_HC_family(2, j, 0.0).value == pytest.approx(1.0, rel=1e-13)
 
     def test_against_independent_series_route(self):
-        got = eval_HC_family(1, 1, 0.2)
+        got = eval_HC_family(1, 1, 0.2).value
         series = eval_confluent_heun(ConfluentHeunParams(1, 2.0, 0.0, 1.5, 6.0),
                                      0.2, TIGHT).value
         assert got == pytest.approx(series, abs=1e-11)
+
+
+class TestResults:
+    """Each route returns an EvalResult, so a value it cannot vouch for says so."""
+
+    @pytest.mark.parametrize("call, terms", [
+        *[(lambda m=m: eval_F(7, 0.3, m), 8) for m in FMethod if m is not FMethod.DEFINITIONAL],
+        *[(lambda m=m: eval_G(7, 0.3, m), 7) for m in GMethod if m is not GMethod.DEFINITIONAL],
+        (lambda: eval_family_negative(FamilyParamsNeg(7, 0.3, 1.5), 0.3), 8),
+        # an integral exponent keeps the prefactor exact
+        (lambda: eval_family_positive(FamilyParamsPos(7, 0.5, 2), 0.2), 6),
+        (lambda: eval_sample_family(7, 2, 0.3), 6),
+    ], ids=[*(f"F-{m.value}" for m in FMethod if m is not FMethod.DEFINITIONAL),
+            *(f"G-{m.value}" for m in GMethod if m is not GMethod.DEFINITIONAL),
+            "family-neg", "family-pos", "sample-family"])
+    def test_closed_forms_are_converged_with_estimate_zero(self, call, terms):
+        result = call()
+        assert result == EvalResult(result.value, terms, True, 0.0)
+
+    def test_quadrature_past_its_node_cap_is_not_converged(self):
+        # K_n(0.3) at n = 1e12 is 5.150e-7 (mpmath), and the finest rule
+        # gives 9.537e-7: the peak is narrower than its nodes resolve
+        k = eval_K_derivative(10**12, 0, 0.3)
+        assert not k.converged
+        assert eval_HC_family(10**12, 0, 0.3) == k
+
+    def test_f_definitional_stops_at_max_terms(self):
+        # the walk to eps takes about 5e8 terms around the mode at n = 1e16;
+        # in a subprocess first: an unbudgeted walk here would not finish
+        script = ("from heunic import FMethod, eval_F\n"
+                  "print(eval_F(10**16, 0.3, FMethod.DEFINITIONAL).converged)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=10)
+        assert proc.stdout == "False\n", proc.stderr
+        start = time.perf_counter()
+        result = eval_F(10**16, 0.3, FMethod.DEFINITIONAL)
+        assert time.perf_counter() - start < 1.0
+        assert not result.converged and result.terms_used == 10000
+        # the default budget ends the walk at n = 1e7, a larger one does not
+        assert not eval_F(10**7, 0.3, FMethod.DEFINITIONAL).converged
+        assert eval_F(10**7, 0.3, FMethod.DEFINITIONAL, SeriesOptions(max_terms=20000)).converged
 
 
 class TestEntropy:
@@ -325,7 +372,7 @@ class TestEntropy:
         assert entropy(1.0, EntropyKind.TSALLIS) == 0.0
 
     def test_values_from_index(self):
-        s = eval_F(2, 0.5, FMethod.DEFINITIONAL)
+        s = eval_F(2, 0.5, FMethod.DEFINITIONAL).value
         assert s == pytest.approx(0.375)
         assert entropy(s, EntropyKind.RENYI) == pytest.approx(math.log(8 / 3))
         assert entropy(s, EntropyKind.TSALLIS) == pytest.approx(0.625)
@@ -356,4 +403,4 @@ def test_an_order_that_is_not_an_int_is_a_domain_error(call):
 
 
 def test_the_quadrature_takes_a_real_order():
-    assert eval_K_derivative(2.5, 1, 0.3) == -0.7419711081661634
+    assert eval_K_derivative(2.5, 1, 0.3).value == -0.7419711081661634

@@ -16,6 +16,7 @@ from heunic import (
     Clausen3F2Params,
     ConfluentHeunParams,
     FMethod,
+    Gauss2F1Params,
     GMethod,
     SeriesOptions,
     clausen_3f2_unit,
@@ -23,8 +24,8 @@ from heunic import (
     eval_G,
     eval_K,
     eval_confluent_heun,
+    gauss_2f1,
 )
-from heunic.coincidence import _f_definitional
 
 
 def F_mp(n, x):
@@ -95,13 +96,12 @@ class TestIndexSums:
         draws = [(rng.randint(1, 400), rng.random()) for _ in range(150)]
         draws += [(2000, 0.3), (7, 0.0), (7, 1.0), (8, 0.5), (300, 1e-3), (300, 0.999)]
         for n, x in draws:
-            r = _f_definitional(n, x)
+            r = eval_F(n, x, FMethod.DEFINITIONAL)
             assert r.converged, (n, x)
             assert within_estimate(r, F_mp(n, x)), (n, x, r)
-            assert eval_F(n, x, FMethod.DEFINITIONAL) == r.value
 
     def test_f_large_order_matches_closed_form(self):
-        assert abs(eval_F(2000, 0.3, FMethod.DEFINITIONAL) - eval_F(2000, 0.3)) <= 1e-14
+        assert abs(eval_F(2000, 0.3, FMethod.DEFINITIONAL).value - eval_F(2000, 0.3).value) <= 1e-14
 
     def test_g_sweep(self):
         rng = random.Random(102)
@@ -156,11 +156,23 @@ class TestIndexSums:
         # the mode weights come from Stirling's series, not from a C(n, k)
         # of 10^8 bits; the leading asymptotic term is 1/sqrt(4 pi variance)
         n, x = 10**8, 0.3
-        f = _f_definitional(n, x)
+        f = eval_F(n, x, FMethod.DEFINITIONAL, SeriesOptions(max_terms=100000))
         g = eval_G(n, x, GMethod.DEFINITIONAL, SeriesOptions(max_terms=100000))
         assert f.converged and g.converged
         assert f.value == pytest.approx((4 * math.pi * n * x * (1 - x)) ** -0.5, rel=1e-7)
         assert g.value == pytest.approx((4 * math.pi * n * x * (1 + x)) ** -0.5, rel=1e-7)
+
+
+@pytest.mark.parametrize("max_terms", [9, 10])
+def test_terminating_sum_cut_after_its_last_term_bounds_its_rounding(max_terms):
+    # 2F1(-7, 2.5; 1.3; 0.8) has eight nonzero terms; cut at 9 or 10 terms
+    # it stops unconverged on a zero term, 9.4e-15 off the true value
+    r = gauss_2f1(Gauss2F1Params(-7.0, 2.5, 1.3), 0.8, SeriesOptions(max_terms=max_terms))
+    with mpmath.workdps(40):
+        ref = mpmath.hyp2f1(-7, 2.5, 1.3, 0.8)
+    assert not r.converged
+    assert r.error_estimate > 0.0
+    assert within_estimate(r, ref), (r, ref)
 
 
 class TestClausenRichardson:

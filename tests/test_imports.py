@@ -5,6 +5,7 @@ not loaded it some other way, so every check here runs in a fresh
 interpreter.  ``-S`` keeps ``site`` from loading modules of its own first.
 """
 
+import inspect
 import io
 import json
 import os
@@ -79,6 +80,14 @@ def test_every_public_name_resolves_and_is_listed():
     assert unlisted == []
     assert series == "heunic.series"
     assert "no_such_name" in unknown
+
+
+def test_every_evaluator_returns_an_eval_result():
+    evaluators = [name for name in heunic.__all__ if name.startswith("eval_")]
+    assert evaluators
+    for name in evaluators:
+        returns = inspect.signature(getattr(heunic, name)).return_annotation
+        assert returns in ("EvalResult", "list[EvalResult]"), name
 
 
 def test_exact_hypergeometric_helpers_after_a_bare_import():

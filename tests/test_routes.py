@@ -26,42 +26,38 @@ from heunic import (
     eval_heun_local,
     eval_hl_hypergeometric,
     eval_K,
+    eval_K_derivative,
     eval_sample_family,
     gauss_2f1,
-    k_derivative_quadrature,
 )
 from heunic.cli import _parse_grid, run
-from heunic.coincidence import _f_definitional
 from heunic.routes import TARGETS, crosscheck
 
 OPTS = SeriesOptions()
 
 # every (target, route) as the library call it stands for, with the
-# parameters in flag order: (value, error_estimate, converged)
+# parameters in flag order
 DIRECT = {
     ("heun", "series"): lambda p, x: eval_heun_local(GeneralHeunParams(
         p["a"], p["q"], p["alpha"], p["beta"], p["gamma"], p["delta"]), x, OPTS),
     ("confluent", "series"): lambda p, x: eval_confluent_heun(ConfluentHeunParams(
         p["p"], p["gamma"], p["delta"], p["alpha"], p["sigma"]), x, OPTS),
-    **{("F", m.value): lambda p, x, m=m: (eval_F(p["n"], x, m), 0.0, True)
-       for m in FMethod if m is not FMethod.DEFINITIONAL},
-    # eval_F's value, with the mode sum's own estimate
-    ("F", "definitional"): lambda p, x: _f_definitional(p["n"], x),
+    **{("F", m.value): lambda p, x, m=m: eval_F(p["n"], x, m, OPTS) for m in FMethod},
     **{("G", m.value): lambda p, x, m=m: eval_G(p["n"], x, m, OPTS) for m in GMethod},
     ("K", "definitional"): lambda p, x: eval_K(p["n"], x, OPTS),
-    ("K", "quadrature"): lambda p, x: (*k_derivative_quadrature(p["n"], 0, x), True),
+    ("K", "quadrature"): lambda p, x: eval_K_derivative(p["n"], 0, x),
     ("K", "confluent-series"): lambda p, x: eval_confluent_heun(
         ConfluentHeunParams(p["n"], 1.0, 0.0, 0.5, 2 * p["n"]), x, OPTS),
-    ("Kderiv", "quadrature"): lambda p, x: (*k_derivative_quadrature(p["n"], p["j"], x), True),
+    ("Kderiv", "quadrature"): lambda p, x: eval_K_derivative(p["n"], p["j"], x),
     ("2f1", "series"): lambda p, x: gauss_2f1(Gauss2F1Params(p["a"], p["b"], p["c"]), x, OPTS),
     ("3f2", "accelerated"): lambda p, x: clausen_3f2_unit(Clausen3F2Params(
         p["a1"], p["a2"], p["a3"], p["b1"], p["b2"]), OPTS),
     ("hl-hyp", "hypergeometric"): lambda p, x: eval_hl_hypergeometric(p["q"], x, OPTS),
-    ("family-neg", "closed"): lambda p, x: (eval_family_negative(FamilyParamsNeg(
-        p["n"], p["theta"], p["gamma"]), x), 0.0, True),
-    ("family-pos", "closed"): lambda p, x: (eval_family_positive(FamilyParamsPos(
-        p["n"], p["theta"], p["gamma"]), x), 0.0, True),
-    ("sample-family", "closed"): lambda p, x: (eval_sample_family(p["n"], p["i"], x), 0.0, True),
+    ("family-neg", "closed"): lambda p, x: eval_family_negative(FamilyParamsNeg(
+        p["n"], p["theta"], p["gamma"]), x),
+    ("family-pos", "closed"): lambda p, x: eval_family_positive(FamilyParamsPos(
+        p["n"], p["theta"], p["gamma"]), x),
+    ("sample-family", "closed"): lambda p, x: eval_sample_family(p["n"], p["i"], x),
 }
 
 ROUTES = [(target, route) for target in TARGETS for route in TARGETS[target].routes]
@@ -90,11 +86,7 @@ def test_the_direct_calls_cover_the_table():
 def test_route_is_its_library_call(target, route):
     params, x = params_and_x(POINTS[target])
     assert tuple(params) == TARGETS[target].flags
-    result = TARGETS[target].routes[route](x, OPTS, **params)
-    expected = DIRECT[target, route](params, x)
-    if not isinstance(expected, tuple):
-        expected = (expected.value, expected.error_estimate, expected.converged)
-    assert (result.value, result.error_estimate, result.converged) == expected
+    assert TARGETS[target].routes[route](x, OPTS, **params) == DIRECT[target, route](params, x)
 
 
 @pytest.mark.parametrize("target, n, grid", [

@@ -131,9 +131,7 @@ def ref_sum_terms(terms, x, opts, max_order):
     growing = not converged and y != 0.0 and abs(y) >= abs(y_prev)
     results = []
     for m in range(m1):
-        est = math.inf if growing else abs(last[m])
-        if converged:
-            est = max(est, series._EPS * abs_sums[m])
+        est = math.inf if growing else max(abs(last[m]), series._EPS * abs_sums[m])
         value, est = math.ldexp(sums[m], scale), math.ldexp(est, scale)
         results.append(EvalResult(value, k, converged and est < abs(value), est))
     return results
