@@ -78,12 +78,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command``: every subcommand is registered with its
+    help line, so the top-level help and its errors do not depend on
+    ``command``, but only ``command`` gets its arguments, or every
+    subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="heunic",
         description="Multi-route evaluation and verification of Heun-type "
                     "functions and indices of coincidence.")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, help_line):
+        """Register ``name``; its parser if it gets its arguments, else None."""
+        p = sub.add_parser(name, help=help_line)
+        return p if command in (None, name) else None
 
     def add_target_args(p, targets):
         p.add_argument("--target", required=True, choices=targets)
@@ -100,44 +109,44 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method")
         p.set_defaults(func=func)
 
-    add_point_args(sub.add_parser("eval", help="evaluate one function at one point"),
-                   _cmd_eval)
+    if p_eval := add_parser("eval", "evaluate one function at one point"):
+        add_point_args(p_eval, _cmd_eval)
 
-    p_entropy = sub.add_parser("entropy", help="order-2 entropies of an index value")
-    add_point_args(p_entropy, _cmd_entropy)
-    p_entropy.add_argument("--kind", required=True, choices=["renyi", "tsallis"])
+    if p_entropy := add_parser("entropy", "order-2 entropies of an index value"):
+        add_point_args(p_entropy, _cmd_entropy)
+        p_entropy.add_argument("--kind", required=True, choices=["renyi", "tsallis"])
 
-    p_table = sub.add_parser("table", help="evaluate on a grid")
-    add_point_args(p_table, _cmd_table)
     grid_help = (f"start:stop:step (stop inclusive) or x1,x2,...; "
                  f"at most {_MAX_GRID_POINTS} points")
-    p_table.add_argument("--grid", required=True, help=grid_help)
-    p_table.add_argument("--output", choices=["csv", "json"], default="csv")
-    p_table.add_argument("--path", help="output file (default: stdout)")
+    if p_table := add_parser("table", "evaluate on a grid"):
+        add_point_args(p_table, _cmd_table)
+        p_table.add_argument("--grid", required=True, help=grid_help)
+        p_table.add_argument("--output", choices=["csv", "json"], default="csv")
+        p_table.add_argument("--path", help="output file (default: stdout)")
 
-    p_cross = sub.add_parser("crosscheck",
-                             help="compare all routes of a target on a grid")
-    add_target_args(p_cross, CROSSCHECKED)
-    p_cross.add_argument("--grid", required=True, help=grid_help)
-    p_cross.add_argument("--tol", type=_finite_float,
-                         help="fail (exit 1) if the discrepancy exceeds this")
-    p_cross.set_defaults(func=_cmd_crosscheck)
+    if p_cross := add_parser("crosscheck", "compare all routes of a target on a grid"):
+        add_target_args(p_cross, CROSSCHECKED)
+        p_cross.add_argument("--grid", required=True, help=grid_help)
+        p_cross.add_argument("--tol", type=_finite_float,
+                             help="fail (exit 1) if the discrepancy exceeds this")
+        p_cross.set_defaults(func=_cmd_crosscheck)
 
-    p_verify = sub.add_parser("verify",
-                              help="exact identities and the relation suite")
-    p_verify.add_argument("--max-n", type=int, default=50,
-                          help=f"identities up to this n (default 50, at most {_MAX_VERIFY_N})")
-    p_verify.add_argument("--trials", type=int, default=100,
-                          help=f"trials per relation (default 100, at most {_MAX_TRIALS})")
-    p_verify.add_argument("--tol", type=_finite_float, default=1e-7)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--mutate-identity", type=int, default=None,
-                          metavar="SITE",
-                          # 0..len(IDENTITY_A_SITES) - 1, written out so that
-                          # parsing does not import heunic.identities
-                          help="self-test hook: bump one binomial argument "
-                               "of identity A (site 0..9)")
-    p_verify.set_defaults(func=_cmd_verify)
+    if p_verify := add_parser("verify", "exact identities and the relation suite"):
+        p_verify.add_argument(
+            "--max-n", type=int, default=50,
+            help=f"identities up to this n (default 50, at most {_MAX_VERIFY_N})")
+        p_verify.add_argument(
+            "--trials", type=int, default=100,
+            help=f"trials per relation (default 100, at most {_MAX_TRIALS})")
+        p_verify.add_argument("--tol", type=_finite_float, default=1e-7)
+        p_verify.add_argument("--seed", type=int, default=0)
+        p_verify.add_argument("--mutate-identity", type=int, default=None,
+                              metavar="SITE",
+                              # 0..len(IDENTITY_A_SITES) - 1, written out so that
+                              # parsing does not import heunic.identities
+                              help="self-test hook: bump one binomial argument "
+                                   "of identity A (site 0..9)")
+        p_verify.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -300,9 +309,12 @@ def run(argv: list[str], out: TextIO | None = None,
     """Parse argv, dispatch, and return an ExitReport; never raises."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    argv = _join_grid(argv)
+    # no top-level option takes a value, so the first token that is not an
+    # option is the one argparse takes for the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = parser.parse_args(_join_grid(argv))
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 2
         return ExitReport(code, "usage")

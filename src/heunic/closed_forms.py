@@ -42,10 +42,10 @@ forms' denominators and coefficient tables is a shift by 2m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, PoleError
-from .series import EvalResult, _is_nonpositive_integer
+from .series import _EPS, EvalResult, _is_nonpositive_integer, _Record
 
 __all__ = [
     "FamilyParamsNeg",
@@ -71,37 +71,33 @@ def pochhammer(r, k: int):
     return result
 
 
-@dataclass(frozen=True)
-class FamilyParamsNeg:
+class FamilyParamsNeg(_Record, namedtuple("FamilyParamsNeg", "n theta gamma")):
     """(n, theta, gamma) for the negative family; any real theta."""
 
-    n: int
-    theta: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+    def __new__(cls, n: int, theta: float, gamma: float):
+        if not isinstance(n, int) or n < 0:
             raise DomainError("n must be a nonnegative integer")
-        if _is_nonpositive_integer(self.gamma):
+        if _is_nonpositive_integer(gamma):
             raise DomainError("gamma must not be zero or a negative integer")
+        return tuple.__new__(cls, (n, theta, gamma))
 
 
-@dataclass(frozen=True)
-class FamilyParamsPos:
+class FamilyParamsPos(_Record, namedtuple("FamilyParamsPos", "n theta gamma")):
     """(n, theta, gamma) for the positive family; integers 0 < gamma <= n.
 
     ``gamma`` may be given as an integral float.
     """
 
-    n: int
-    theta: float
-    gamma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+    def __new__(cls, n: int, theta: float, gamma: int):
+        if not isinstance(n, int) or n < 1:
             raise DomainError("n must be a positive integer")
-        if not (float(self.gamma).is_integer() and 0 < self.gamma <= self.n):
+        if not (float(gamma).is_integer() and 0 < gamma <= n):
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
+        return tuple.__new__(cls, (n, theta, gamma))
 
 
 def _horner(coeffs: tuple[int, ...], a: int, e: int) -> tuple[int, int]:
@@ -121,16 +117,27 @@ def _gauss_sum(m: int, b: tuple[int, int], c: tuple[int, int],
     The m+1 terms are nested from the last, 1 + r_0 (1 + r_1 (...)), with
     r_k = (k-m)(b+k)/((k+1)(c+k)) a/2^e.  The product of the denominators
     of the r_k is kept apart from its power of two, so each step
-    multiplies it by one small integer and shifts once.
+    multiplies it by one small integer and shifts once.  The factor cd/bd
+    of r_k (bd and cd the denominators of b and c) enters by its odd parts,
+    and its power of two joins a/2^e: for float parameters both are powers
+    of two, and multiplying by them would grow both integers by their bits
+    each step, only for those bits to cancel.
     """
     bn, bd = b
     cn, cd = c
+    bz = (bd & -bd).bit_length() - 1
+    cz = (cd & -cd).bit_length() - 1
+    if cz >= bz:
+        a <<= cz - bz
+    else:
+        e += bz - cz
+    bo, co = bd >> bz, cd >> cz
     num = den = 1
     shift = 0
     for k in reversed(range(m)):
-        den *= (k + 1) * (cn + k * cd) * bd
+        den *= (k + 1) * (cn + k * cd) * bo
         shift += e
-        num = (den << shift) + (k - m) * (bn + k * bd) * cd * a * num
+        num = (den << shift) + (k - m) * (bn + k * bd) * co * a * num
     den <<= shift
     return (num, den) if den > 0 else (-num, -den)
 
@@ -190,7 +197,9 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> EvalResult:
     is negative, and DomainError for x > 1/2 when the exponent is not an
     integer (the real-valued branch does not exist there).  An integral
     exponent keeps the prefactor exact; otherwise the two factors are
-    rounded apart and multiplied.
+    rounded apart and multiplied, and the estimate bounds the rounding:
+    that of 1 - 2x times |exponent|, that of the exponent times
+    |log(1 - 2x)|, and that of the power and the two quotients.
     """
     gamma = int(fp.gamma)
     tn, td = fp.theta.as_integer_ratio()
@@ -207,9 +216,12 @@ def eval_family_positive(fp: FamilyParamsPos, x: float) -> EvalResult:
                           4 * p * (q - p), 2 * q.bit_length() - 2)
     if integral:
         value = _times_power(num, den, r, q.bit_length() - 1, int(exponent))
-    else:
-        value = (r / q) ** exponent * (num / den)
-    return EvalResult(value, fp.n - gamma + 1, True, 0.0)
+        return EvalResult(value, fp.n - gamma + 1, True, 0.0)
+    base = r / q
+    value = base**exponent * (num / den)
+    log_base = abs(math.log(base)) if base else 0.0
+    estimate = (abs(exponent) / 2 * (1.0 + log_base) + 3.0) * _EPS * abs(value)
+    return EvalResult(value, fp.n - gamma + 1, True, estimate)
 
 
 def eval_sample_family(n: int, i: int, x: float) -> EvalResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed_forms import _checked_ratio, _horner, _times_power, pochhammer
 from .errors import DivergentSeriesError, DomainError
@@ -31,20 +31,19 @@ from .series import (
     EvalResult,
     SeriesOptions,
     _is_nonpositive_integer,
+    _Record,
     _sum_recurrence,
 )
 
-@dataclass(frozen=True)
-class Gauss2F1Params:
+class Gauss2F1Params(_Record, namedtuple("Gauss2F1Params", "a b c")):
     """Numerator pair (a, b) and denominator c, c not 0 or a negative integer."""
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _is_nonpositive_integer(self.c):
+    def __new__(cls, a: float, b: float, c: float):
+        if _is_nonpositive_integer(c):
             raise DomainError("c must not be zero or a negative integer")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def terminates(self) -> bool:
@@ -57,19 +56,15 @@ class Gauss2F1Params:
         return self.a, 1.0, self.b, 0.0, 1.0, 0.0, 0.0, self.c, 0.0
 
 
-@dataclass(frozen=True)
-class Clausen3F2Params:
+class Clausen3F2Params(_Record, namedtuple("Clausen3F2Params", "a1 a2 a3 b1 b2")):
     """Numerators (a1, a2, a3) and denominators (b1, b2) of a 3F2."""
 
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _is_nonpositive_integer(self.b1) or _is_nonpositive_integer(self.b2):
+    def __new__(cls, a1: float, a2: float, a3: float, b1: float, b2: float):
+        if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
             raise DomainError("b1, b2 must not be zero or negative integers")
+        return tuple.__new__(cls, (a1, a2, a3, b1, b2))
 
     @property
     def unit_excess(self) -> float:

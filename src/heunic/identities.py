@@ -18,11 +18,12 @@ checks are not vacuous: it adds its delta to that one argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
+from .series import _Record
 
 __all__ = [
     "binomial_exact",
@@ -44,12 +45,10 @@ def binomial_exact(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(_Record, namedtuple("Mutation", "site delta", defaults=(1,))):
     """Perturb one binomial argument (``site``) by ``delta``."""
 
-    site: int
-    delta: int = 1
+    __slots__ = ()
 
 
 class IdentityCheck(NamedTuple):

@@ -2,12 +2,12 @@
 
 A route computes its target as ``route(x, opts, **params) -> EvalResult``,
 with the target's ``flags`` as ``params``.  A target with a parameter
-dataclass reads its flags from the fields and builds ``Cls(**params)``.
+record reads its flags from the record's ``_fields`` and builds
+``Cls(**params)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Callable, Iterable, NamedTuple
 
 from . import coincidence
@@ -33,14 +33,10 @@ class Target(NamedTuple):
     index: bool = False         # an index of coincidence: entropy applies
 
 
-def _flags(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 TARGETS: dict[str, Target] = {
-    "heun": Target(_flags(GeneralHeunParams), {
+    "heun": Target(GeneralHeunParams._fields, {
         "series": lambda x, opts, **p: eval_heun_local(GeneralHeunParams(**p), x, opts)}),
-    "confluent": Target(_flags(ConfluentHeunParams), {
+    "confluent": Target(ConfluentHeunParams._fields, {
         "series": lambda x, opts, **p: eval_confluent_heun(ConfluentHeunParams(**p), x, opts)}),
     "F": Target(("n",), {
         m.value: lambda x, opts, n, m=m: coincidence.eval_F(n, x, m, opts)
@@ -58,16 +54,16 @@ TARGETS: dict[str, Target] = {
     }, default="definitional", index=True),
     "Kderiv": Target(("n", "j"), {
         "quadrature": lambda x, opts, n, j: coincidence.eval_K_derivative(n, j, x)}),
-    "2f1": Target(_flags(Gauss2F1Params), {
+    "2f1": Target(Gauss2F1Params._fields, {
         "series": lambda x, opts, **p: gauss_2f1(Gauss2F1Params(**p), x, opts)}),
-    "3f2": Target(_flags(Clausen3F2Params), {
+    "3f2": Target(Clausen3F2Params._fields, {
         "accelerated": lambda x, opts, **p: clausen_3f2_unit(Clausen3F2Params(**p), opts)},
         takes_x=False),
     "hl-hyp": Target(("q",), {
         "hypergeometric": lambda x, opts, q: eval_hl_hypergeometric(q, x, opts)}),
-    "family-neg": Target(_flags(FamilyParamsNeg), {
+    "family-neg": Target(FamilyParamsNeg._fields, {
         "closed": lambda x, opts, **p: eval_family_negative(FamilyParamsNeg(**p), x)}),
-    "family-pos": Target(_flags(FamilyParamsPos), {
+    "family-pos": Target(FamilyParamsPos._fields, {
         "closed": lambda x, opts, **p: eval_family_positive(FamilyParamsPos(**p), x)}),
     "sample-family": Target(("n", "i"), {
         "closed": lambda x, opts, n, i: eval_sample_family(n, i, x)}),

@@ -25,6 +25,7 @@ non-finite x; analytic continuation is out of scope.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -46,7 +47,7 @@ def _is_nonpositive_integer(value: float) -> bool:
 
 
 def _check_finite(params) -> None:
-    for name, value in vars(params).items():
+    for name, value in zip(params._fields, params):
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an integer beyond the float range
@@ -55,20 +56,48 @@ def _check_finite(params) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class SeriesOptions:
+class _Record:
+    """Mixin of the parameter records, validated named tuples.
+
+    A record is ``class R(_Record, namedtuple("R", fields))`` with
+    ``__slots__ = ()`` and, where it has checks, a typed ``__new__`` that
+    runs them.  ``_make``, and through it ``_replace``, build by
+    ``cls(...)``, and unpickling and ``copy`` by ``cls.__new__``, so every
+    way to a record runs its checks.  A record equals only a record of its
+    own type: not a plain tuple, nor another record of the same values.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+
+class SeriesOptions(_Record, namedtuple("SeriesOptions", "max_terms rel_tol")):
     """Truncation controls shared by every series evaluation."""
 
-    max_terms: int = 10000
-    rel_tol: float = 1e-15
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.max_terms, int):
+    def __new__(cls, max_terms: int = 10000, rel_tol: float = 1e-15):
+        if not isinstance(max_terms, int):
             raise DomainError("max_terms must be an integer")
-        if self.max_terms < 2:
+        if max_terms < 2:
             raise DomainError("max_terms must be at least 2")
-        if not 0.0 < self.rel_tol < 1.0:
+        if not 0.0 < rel_tol < 1.0:
             raise DomainError("rel_tol must lie in (0, 1)")
+        return tuple.__new__(cls, (max_terms, rel_tol))
 
 
 DEFAULT_OPTIONS = SeriesOptions()
@@ -92,8 +121,8 @@ class EvalResult:
     error_estimate: float
 
 
-@dataclass(frozen=True)
-class GeneralHeunParams:
+class GeneralHeunParams(_Record,
+                        namedtuple("GeneralHeunParams", "a q alpha beta gamma delta")):
     """Parameters (a, q, alpha, beta, gamma, delta) of the four-point equation.
 
     ``epsilon`` is derived from the Fuchs relation
@@ -101,19 +130,17 @@ class GeneralHeunParams:
     independently.
     """
 
-    a: float
-    q: float
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: float, q: float, alpha: float, beta: float, gamma: float,
+                delta: float):
+        self = tuple.__new__(cls, (a, q, alpha, beta, gamma, delta))
         _check_finite(self)
-        if self.a == 0.0 or self.a == 1.0:
+        if a == 0.0 or a == 1.0:
             raise DomainError("singular-point location a must not be 0 or 1")
-        if _is_nonpositive_integer(self.gamma):
+        if _is_nonpositive_integer(gamma):
             raise DomainError("gamma must not be zero or a negative integer")
+        return self
 
     @property
     def epsilon(self) -> float:
@@ -145,22 +172,20 @@ class GeneralHeunParams:
         return transformed, exponent * log_base, log_err, ratios
 
 
-@dataclass(frozen=True)
-class ConfluentHeunParams:
+class ConfluentHeunParams(_Record,
+                          namedtuple("ConfluentHeunParams", "p gamma delta alpha sigma")):
     """Parameters (p, gamma, delta, alpha, sigma) of the confluent equation."""
 
-    p: float
-    gamma: float
-    delta: float
-    alpha: float
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p: float, gamma: float, delta: float, alpha: float, sigma: float):
+        self = tuple.__new__(cls, (p, gamma, delta, alpha, sigma))
         _check_finite(self)
-        if self.p == 0.0:
+        if p == 0.0:
             raise DomainError("p must be nonzero")
-        if _is_nonpositive_integer(self.gamma):
+        if _is_nonpositive_integer(gamma):
             raise DomainError("gamma must not be zero or a negative integer")
+        return self
 
     @property
     def radius(self) -> float:

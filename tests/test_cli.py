@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from heunic import DomainError, FMethod, coincidence, eval_F
-from heunic.cli import TARGETS, ExitReport, _parse_grid, emit_table, run
+from heunic.cli import TARGETS, ExitReport, _build_parser, _parse_grid, emit_table, run
 
 
 def invoke(argv):
@@ -496,6 +497,46 @@ class TestRun:
     def test_help_is_not_an_error(self):
         report, _, _ = invoke(["--help"])
         assert report.code == 0
+
+
+COMMANDS = ("eval", "entropy", "table", "crosscheck", "verify")
+TARGETED = COMMANDS[:-1]
+# argument vectors that argparse answers itself: help and usage errors
+PARSER_ONLY = [[], ["--help"], ["--bogus"], ["nope"],
+               *([cmd, "--help"] for cmd in COMMANDS),
+               *([cmd, "--bogus", "1"] for cmd in COMMANDS),
+               *([cmd] for cmd in TARGETED),
+               *([cmd, "--target", "nope"] for cmd in TARGETED)]
+
+
+class TestParser:
+    """``run`` builds the arguments of the invoked command only; the parser
+    with every subcommand built is the reference."""
+
+    @pytest.mark.parametrize("argv", PARSER_ONLY, ids=lambda argv: " ".join(argv) or "none")
+    def test_prints_what_the_full_parser_prints(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        report, out, err = invoke(argv)
+        printed = capsys.readouterr()
+        assert (out, err) == ("", "")
+        assert (printed.out, printed.err) == (expected.out, expected.err)
+        assert printed.out or printed.err
+        assert report.code == (0 if exc.value.code == 0 else 2)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_builds_the_arguments_of_its_command_only(self, command):
+        def options(parser):
+            sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return {name: [a.option_strings for a in p._actions]
+                    for name, p in sub.choices.items()}
+
+        full, one = options(_build_parser()), options(_build_parser(command))
+        assert list(one) == list(full) == list(COMMANDS)
+        for name in COMMANDS:
+            assert one[name] == (full[name] if name == command else [["-h", "--help"]])
+        assert len(full[command]) > 1
 
 
 def test_runtime_needs_only_the_standard_library():

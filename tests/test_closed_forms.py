@@ -1,7 +1,10 @@
 """Closed forms of the two explicit families and the sample ladder family."""
 
 import math
+import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,20 @@ from heunic import (
 )
 
 TIGHT = SeriesOptions(max_terms=20000, rel_tol=1e-15)
+
+
+def family_positive_mp(fp, x):
+    """The positive family at 60 digits: (1-2x)^(-2(n-gamma+theta)) times its
+    Gauss sum, summed exactly, since its terms cancel by many digits."""
+    n, gamma, theta = fp.n, int(fp.gamma), Fraction(fp.theta)
+    z = 4 * Fraction(x) * (1 - Fraction(x))
+    total, term = Fraction(0), Fraction(1)
+    for k in range(n - gamma + 1):
+        total += term
+        term *= (k + gamma - n) * (gamma - theta + k) / ((k + 1) * (gamma + k)) * z
+    with mpmath.workdps(60):
+        exponent = -2 * (n - gamma + mpmath.mpf(fp.theta))
+        return (1 - 2 * mpmath.mpf(x)) ** exponent * total.numerator / total.denominator
 
 
 def binomial_square_sum(n, x):
@@ -141,6 +158,31 @@ class TestPositiveFamily:
                 series = eval_heun_local(params, x, TIGHT).value
                 assert abs(closed - series) <= 1e-11 * max(abs(closed),
                                                            abs(series), 1.0)
+
+    def test_non_integral_exponent_bounds_the_rounding_of_its_prefactor(self):
+        # (1-2x)^e is rounded apart from the exact Gauss sum: the first case
+        # is 2.6e-14 off relative, where the estimate was 0
+        rng = random.Random("family-pos-estimate")
+        cases = [(FamilyParamsPos(116, 1.040549083762685, 1), -0.00479456307094589)]
+        for _ in range(60):
+            n = rng.randint(1, 120)
+            cases.append((FamilyParamsPos(n, rng.uniform(0.01, 5.0), rng.randint(1, n)),
+                          rng.choice([rng.uniform(-1.0, 0.5), rng.uniform(0.45, 0.5)])))
+        checked = 0
+        for fp, x in cases:
+            try:
+                result = eval_family_positive(fp, x)
+            except OverflowError:  # (1-2x)^e beyond the float range
+                continue
+            assert result.converged
+            assert abs(result.value - family_positive_mp(fp, x)) <= result.error_estimate
+            checked += 1
+        assert checked > 40
+
+    def test_integral_exponent_is_exact(self):
+        result = eval_family_positive(FamilyParamsPos(7, 2.5, 3), 0.3)
+        assert result.error_estimate == 0.0
+        assert result.value == float(family_positive_mp(FamilyParamsPos(7, 2.5, 3), 0.3))
 
     def test_pole_at_half_for_negative_exponent(self):
         with pytest.raises(PoleError):

@@ -61,6 +61,18 @@ def test_import_cli_loads_only_what_every_command_needs():
     assert fresh(script) == []
 
 
+def test_only_eval_result_is_a_dataclass_after_import_cli():
+    # the parameter records are named tuples; EvalResult stays a dataclass
+    script = ("import json, sys\n"
+              "import heunic.cli\n"
+              "classes = {k for name, module in list(sys.modules.items())\n"
+              "           if name.startswith('heunic') for k in vars(module).values()\n"
+              "           if isinstance(k, type) and hasattr(k, '__dataclass_fields__')}\n"
+              "print(json.dumps(sorted(f'{k.__module__}.{k.__qualname__}' for k in classes\n"
+              "                        if k.__module__.startswith('heunic'))))\n")
+    assert fresh(script) == ["heunic.series.EvalResult"]
+
+
 def test_every_public_name_resolves_and_is_listed():
     script = ("import json, heunic\n"
               "names = list(heunic.__all__)\n"
