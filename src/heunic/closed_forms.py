@@ -45,7 +45,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, PoleError
-from .series import _EPS, EvalResult, _is_nonpositive_integer, _Record
+from .series import _EPS, EvalResult, _check_finite, _is_nonpositive_integer, _Record
 
 __all__ = [
     "FamilyParamsNeg",
@@ -79,9 +79,11 @@ class FamilyParamsNeg(_Record, namedtuple("FamilyParamsNeg", "n theta gamma")):
     def __new__(cls, n: int, theta: float, gamma: float):
         if not isinstance(n, int) or n < 0:
             raise DomainError("n must be a nonnegative integer")
+        self = tuple.__new__(cls, (n, theta, gamma))
+        _check_finite(self, "theta", "gamma")
         if _is_nonpositive_integer(gamma):
             raise DomainError("gamma must not be zero or a negative integer")
-        return tuple.__new__(cls, (n, theta, gamma))
+        return self
 
 
 class FamilyParamsPos(_Record, namedtuple("FamilyParamsPos", "n theta gamma")):
@@ -95,9 +97,11 @@ class FamilyParamsPos(_Record, namedtuple("FamilyParamsPos", "n theta gamma")):
     def __new__(cls, n: int, theta: float, gamma: int):
         if not isinstance(n, int) or n < 1:
             raise DomainError("n must be a positive integer")
+        self = tuple.__new__(cls, (n, theta, gamma))
+        _check_finite(self, "theta", "gamma")
         if not (float(gamma).is_integer() and 0 < gamma <= n):
             raise DomainError("gamma must be an integer with 0 < gamma <= n")
-        return tuple.__new__(cls, (n, theta, gamma))
+        return self
 
 
 def _horner(coeffs: tuple[int, ...], a: int, e: int) -> tuple[int, int]:
@@ -168,7 +172,14 @@ def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool =
 
 
 def _times_power(num: int, den: int, r: int, e: int, k: int) -> float:
-    """(num/den) (r/2^e)^k for any integer k, rounded once by ``int / int``."""
+    """(num/den) (r/2^e)^k for any integer k, rounded once by ``int / int``.
+
+    The power of |k| factors of max(bits(r), e) bits is refused with
+    DomainError past the sums' work budget."""
+    bits = max(r.bit_length(), e)
+    if (abs(k) * bits) ** 2 > _SUM_WORK:
+        raise DomainError(f"an exact power of {abs(k)} factors of {bits} bits "
+                          "is past its work budget")
     if k >= 0:
         return num * r**k / (den << e * k)
     return (num << e * -k) / (den * r**-k)

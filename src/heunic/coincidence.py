@@ -148,15 +148,16 @@ _MODE_BITS = 128
 
 
 def _power_top(base: int, exp: int) -> tuple[int, int]:
-    """(a, s) with base^exp = a 2^s to about 120 bits: binary powering
-    that keeps the top _MODE_BITS bits of the running power."""
+    """(a, s) with base^exp = a 2^s to about 2^-62: binary powering that keeps the
+    top _MODE_BITS bits, and one per bit of exp past 64, of the running power."""
+    keep = _MODE_BITS + max(0, exp.bit_length() - 64)  # each truncation is raised to ~exp
     result, shift = 1, 0
     for bit in bin(exp)[2:]:
         result *= result
         shift *= 2
         if bit == "1":
             result *= base
-        drop = result.bit_length() - _MODE_BITS
+        drop = result.bit_length() - keep
         if drop > 0:
             result >>= drop
             shift += drop
@@ -164,6 +165,12 @@ def _power_top(base: int, exp: int) -> tuple[int, int]:
 
 
 _STIRLING_FROM = 20
+
+
+def _require_count(count: float) -> None:
+    """Refuse a mode, or the N of C(N,k), past 1e154: Stirling's series squares it."""
+    if not count <= 1e154:
+        raise DomainError("the mode weight is past the float range of Stirling's series")
 
 
 def _stirling_remainder(m: int) -> float:
@@ -181,13 +188,14 @@ def _binomial_mode_weight(big: int, k: int, p: int, q: int) -> float:
     sqrt(N/(2 pi k (N-k))), where Nx - k = (Np - kq)/q is formed exactly
     and the two logarithms, each about Nx - k, stay O(1): nothing of size
     N cancels, and no integer of N digits is formed.  Otherwise C(N,k)
-    is small, and the weight is rounded once from 120-bit powers.
+    is small, and the weight is rounded once from truncated powers.
     """
     rest = big - k
     if min(k, rest) < _STIRLING_FROM:
         (a, sa), (b, sb), (c, sc) = _power_top(p, k), _power_top(q - p, rest), _power_top(q, big)
         top, shift = math.comb(big, k) * a * b, sa + sb - sc
         return top / (c << -shift) if shift < 0 else (top << shift) / c
+    _require_count(big)
     d = big * p - k * q
     exponent = (k * math.log1p(d / (k * q)) + rest * math.log1p(-d / (rest * q))
                 + _stirling_remainder(big) - _stirling_remainder(k) - _stirling_remainder(rest))
@@ -204,11 +212,12 @@ def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
     faster than geometrically.  Each side stops at its first term below
     ``tol`` times the running total, and its tail is bounded by that term
     over one minus the last ratio; a walk that reaches k = 0, or a zero of
-    u0 + u1 k, ends with a zero term.  At most ``budget`` terms are summed,
-    else the result is not converged.  The terms are added by ``fsum``; a
-    term d steps from the mode carries at most about 3d roundings from
-    the walk, which the error estimate bounds by 4 eps d t_k, besides
-    10 eps of the whole for the mode term and the sum.
+    u0 + u1 k, ends with a zero term.  A walk cut at ``budget`` terms
+    returns its partial sum, not converged, its last term the estimate.
+    The terms are added by ``fsum``; a term d steps from the mode carries
+    at most about 3d roundings from the walk, which the error estimate
+    bounds by 4 eps d t_k, besides 10 eps of the whole for the mode term
+    and the sum; a sum whose estimate is not below it is not converged.
     """
     terms = [top]
     total = top
@@ -236,8 +245,8 @@ def _mode_sum(top: float, m: int, u0: float, u1: float, rho: float,
         else:
             return EvalResult(math.fsum(terms), len(terms), False, t)
     value = math.fsum(terms)
-    return EvalResult(value, len(terms), True,
-                      tail + _EPS * (4.0 * moment + 10.0 * value))
+    est = tail + _EPS * (4.0 * moment + 10.0 * value)
+    return EvalResult(value, len(terms), est < abs(value), est)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +258,10 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED,
     """Index of coincidence F_n(x) by the selected route.
 
     The closed forms accept any real x: each is an exact sum of n + 1
-    terms, rounded once.  The definitional route needs 0 <= x <= 1 and
-    sums the defining sum from its mode to eps; it walks at most
-    ``opts.max_terms`` terms, past which the result is not converged.
+    terms, rounded once.  The definitional route needs 0 <= x <= 1, and
+    n <= 1e154 where its mode weight takes Stirling's series; it sums the
+    defining sum from its mode to eps, at most ``opts.max_terms`` terms,
+    past which the result is not converged.
     """
     _require_order(n)
     if method is not FMethod.DEFINITIONAL:
@@ -264,25 +274,18 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED,
     p, q = (1.0 - x if x > 0.5 else x).as_integer_ratio()
     m = (n + 1) * p // q  # the mode of C(n,k) x^k (1-x)^(n-k)
     weight = _binomial_mode_weight(n, m, p, q)
-    # n + 1 terms at most: the walk ends by itself at k = 0 and at k = n
-    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p), _EPS,
-                     min(n + 2, opts.max_terms))
+    # the walk ends by itself at k = 0 and at k = n
+    return _mode_sum(weight * weight, m, float(n), -1.0, p / (q - p), _EPS, opts.max_terms)
 
 
 # ---------------------------------------------------------------------------
 # G_n routes
 
 
-def _cannot_converge(variance: float, opts: SeriesOptions) -> bool:
-    """True when the terms spread over more than ``opts.max_terms`` indices."""
-    return not variance <= float(opts.max_terms) ** 2
-
-
 def _g_definitional(n: int, x: float, opts: SeriesOptions) -> EvalResult:
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("the defining sum for G needs x >= 0")
-    if _cannot_converge(n * x * (1.0 + x), opts):
-        return EvalResult(math.nan, 0, False, math.inf)
+    _require_count((n - 1) * x)  # about the mode m; inf or NaN at x = inf
     p, q = x.as_integer_ratio()
     m = (n - 1) * p // q  # the mode of C(n+k-1,k) t^k (1-t)^n, t = x/(1+x)
     weight = _binomial_mode_weight(n + m - 1, m, p, p + q) * (q / (p + q))
@@ -295,10 +298,10 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     """Index of coincidence G_n(x) by the selected route.
 
     The definitional route sums outward from the mode of the weights and
-    folds a geometric tail bound into the error estimate; where the
-    weights spread over more than ``opts.max_terms`` indices it returns
-    NaN, not converged, without summing.  Closed forms are exact finite
-    sums (x != -1/2).
+    folds a geometric tail bound into the error estimate; it walks at
+    most ``opts.max_terms`` terms, past which the result is its partial
+    sum, not converged, and refuses a mode weight past 1e154.  Closed
+    forms are exact finite sums (x != -1/2).
     """
     _require_order(n)
     opts = opts or DEFAULT_OPTIONS
@@ -337,26 +340,20 @@ def _poisson_mode_weight(m: int, frac: float) -> float:
 def eval_K(n: int, x: float, opts: SeriesOptions | None = None) -> EvalResult:
     """Index of coincidence K_n(x) by summing the defining sum from its mode.
 
-    The mode weight of lam = nx comes from Stirling's series, and the sum
-    walks outward from it.  At most max(51, ceil(4 lam) + 41) terms are
-    summed, far past the mode, where the squared weights decay faster
-    than geometrically; a sum cut off there, or at ``opts.max_terms``,
-    before its terms fall below ``opts.rel_tol`` is reported as not
-    converged.  Where the weights spread over more than ``opts.max_terms``
-    indices the result is NaN, not converged.
+    The mode weight of lam = nx <= 1e154 comes from Stirling's series; the
+    sum walks outward from it to ``opts.rel_tol``, at most
+    ``opts.max_terms`` terms, past which it is a partial sum, not converged.
     """
     _require_order(n)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError("the defining sum for K needs x >= 0")
     opts = opts or DEFAULT_OPTIONS
     lam = n * x
-    if _cannot_converge(lam, opts):
-        return EvalResult(math.nan, 0, False, math.inf)
+    _require_count(lam)
     p, q = x.as_integer_ratio()
     m = n * p // q  # the mode, floor(lam)
     weight = _poisson_mode_weight(m, (n * p - m * q) / q)
-    budget = min(opts.max_terms, max(50, math.ceil(4 * lam) + 40) + 1)
-    return _mode_sum(weight * weight, m, lam, 0.0, 1.0, opts.rel_tol, budget)
+    return _mode_sum(weight * weight, m, lam, 0.0, 1.0, opts.rel_tol, opts.max_terms)
 
 
 # The finest trapezoidal rule; 2^20 nodes take a few tenths of a second
@@ -398,7 +395,8 @@ def _k_mean(a: float, j: int) -> tuple[int, EvalResult]:
     the peak of width 1/sqrt(a), and doubles, reusing every node, until two
     means agree to (j + 4) eps of the value; their difference plus that
     floor is the estimate.  Means that still differ at the cap of
-    _MAX_NODES nodes are not converged.
+    _MAX_NODES nodes, or whose estimate is not below them, are not
+    converged; a mean of 0 missed the peak, and its estimate is infinite.
     """
     m = math.frexp(math.e * a / j if a >= j else math.exp(a / j))[1] - 1 if j else 0
     width = 4.0 * math.sqrt(a + j)
@@ -416,7 +414,8 @@ def _k_mean(a: float, j: int) -> tuple[int, EvalResult]:
         diff, floor = abs(mean - coarse), (j + 4) * _EPS * mean
         if diff <= floor or nodes == _MAX_NODES:
             break
-    return m, EvalResult(mean, nodes, diff <= floor, diff + floor)
+    est = diff + floor if mean else math.inf
+    return m, EvalResult(mean, nodes, diff <= floor and est < mean, est)
 
 
 def _check_quadrature(n: int, j: int, x: float) -> None:

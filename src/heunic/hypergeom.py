@@ -23,13 +23,14 @@ import functools
 import math
 from collections import namedtuple
 
-from .closed_forms import _checked_ratio, _horner, _times_power, pochhammer
+from .closed_forms import _horner, _times_power, pochhammer
 from .errors import DivergentSeriesError, DomainError
 from .series import (
     _EPS,
     DEFAULT_OPTIONS,
     EvalResult,
     SeriesOptions,
+    _check_finite,
     _is_nonpositive_integer,
     _Record,
     _sum_recurrence,
@@ -41,9 +42,11 @@ class Gauss2F1Params(_Record, namedtuple("Gauss2F1Params", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: float, b: float, c: float):
+        self = tuple.__new__(cls, (a, b, c))
+        _check_finite(self)
         if _is_nonpositive_integer(c):
             raise DomainError("c must not be zero or a negative integer")
-        return tuple.__new__(cls, (a, b, c))
+        return self
 
     @property
     def terminates(self) -> bool:
@@ -62,9 +65,11 @@ class Clausen3F2Params(_Record, namedtuple("Clausen3F2Params", "a1 a2 a3 b1 b2")
     __slots__ = ()
 
     def __new__(cls, a1: float, a2: float, a3: float, b1: float, b2: float):
+        self = tuple.__new__(cls, (a1, a2, a3, b1, b2))
+        _check_finite(self)
         if _is_nonpositive_integer(b1) or _is_nonpositive_integer(b2):
             raise DomainError("b1, b2 must not be zero or negative integers")
-        return tuple.__new__(cls, (a1, a2, a3, b1, b2))
+        return self
 
     @property
     def unit_excess(self) -> float:
@@ -173,9 +178,11 @@ def eval_hl_hypergeometric(q: float, x: float,
     integer; non-real branches are refused).
     """
     opts = opts or DEFAULT_OPTIONS
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
     if _is_nonpositive_integer(q) or _is_nonpositive_integer(q + 0.5):
         raise DomainError("q must avoid 0, -1, ... and -1/2, -3/2, ...")
-    if abs(x) >= 1.0:
+    if not abs(x) < 1.0:
         raise DomainError("the representation needs |x| < 1")
     if x == 0.5:
         raise DomainError("x = 1/2 is a singular point of the equation")
@@ -187,7 +194,7 @@ def eval_hl_hypergeometric(q: float, x: float,
     if base > 0.0:
         prefactor = base**exponent
     else:  # an exact power of |exponent| factors, under the closed forms' budget
-        p, d = _checked_ratio(x, abs(int(exponent)))  # 1 - 2x = (d - 2p)/d
+        p, d = x.as_integer_ratio()  # 1 - 2x = (d - 2p)/d
         prefactor = _times_power(1, 1, d - 2 * p, d.bit_length() - 1, int(exponent))
     z = 4.0 * x * (1.0 - x)
     scale = 1.0

@@ -46,8 +46,11 @@ def _is_nonpositive_integer(value: float) -> bool:
     return value <= 0.0 and float(value).is_integer()
 
 
-def _check_finite(params) -> None:
-    for name, value in zip(params._fields, params):
+def _check_finite(params, *names: str) -> None:
+    """Refuse with DomainError a non-finite field of the record ``params``,
+    among its fields ``names`` if given."""
+    for name in names or params._fields:
+        value = getattr(params, name)
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an integer beyond the float range
@@ -112,7 +115,9 @@ class EvalResult:
     since that term then bounds nothing; ``gauss_2f1`` divides the
     kernel's estimate by 1 - r, r = min(|x|, 0.999), to bound the tail.
     For converged evaluations it also accounts for cancellation, and is
-    below the value's magnitude.
+    below the value's magnitude: the series kernel, the mode walks of F,
+    G and K and the trapezoid of K^(j) mark a result whose estimate is
+    not below it as not converged.
     """
 
     value: float

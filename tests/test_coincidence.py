@@ -197,8 +197,8 @@ class TestK:
         assert 0.0 < value <= 1.0 + 1e-12
 
     def test_cut_off_before_tolerance_is_not_converged(self):
-        r = eval_K(50, 0.5, SeriesOptions(rel_tol=1e-300))
-        assert r.terms_used == 141  # stopped at max(50, 4nx + 40)
+        r = eval_K(50, 0.5, SeriesOptions(max_terms=141, rel_tol=1e-300))
+        assert r.terms_used == 141  # stopped at max_terms
         assert not r.converged
         assert eval_K(50, 0.5).converged
 

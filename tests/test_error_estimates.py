@@ -8,6 +8,7 @@ unit-argument 3F2, extrapolated by Richardson's method.
 
 import math
 import random
+import time
 
 import mpmath
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from heunic import (
     Clausen3F2Params,
     ConfluentHeunParams,
+    DomainError,
     FMethod,
     Gauss2F1Params,
     GMethod,
@@ -22,6 +24,7 @@ from heunic import (
     clausen_3f2_unit,
     eval_F,
     eval_G,
+    eval_HC_family,
     eval_K,
     eval_confluent_heun,
     gauss_2f1,
@@ -147,10 +150,86 @@ class TestIndexSums:
         lambda opts: eval_K(10**7, 100.0, opts),
     ])
     def test_spread_beyond_max_terms_is_not_converged(self, evaluate):
+        # the walk stops at max_terms with its partial sum and its last term
         r = evaluate(SeriesOptions(max_terms=10000))
         assert not r.converged
-        assert r.terms_used == 0
-        assert math.isnan(r.value)
+        assert r.terms_used == 10000
+        assert math.isfinite(r.value) and 0.0 < r.error_estimate < r.value
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: eval_K(10**8, 0.99),
+        lambda: eval_K(10**8, 1.01),
+        lambda: eval_G(10**4, 99.0, GMethod.DEFINITIONAL),
+        lambda: eval_G(10**4, 101.0, GMethod.DEFINITIONAL),
+    ], ids=["K-below", "K-above", "G-below", "G-above"])
+    def test_walk_past_max_terms_returns_its_partial_sum(self, evaluate):
+        # each pair straddles a spread of max_terms indices; both sides walk
+        # to max_terms and return the same kind of result
+        start = time.perf_counter()
+        r = evaluate()
+        assert time.perf_counter() - start < 0.1
+        assert not r.converged
+        assert r.terms_used == SeriesOptions().max_terms
+        assert math.isfinite(r.value) and 0.0 < r.error_estimate < r.value
+
+    def test_no_converged_zero_at_a_huge_order(self):
+        # the mode weight used to round to 0, with an infinite estimate
+        try:
+            r = eval_F(12 * 10**153, 0.5, FMethod.DEFINITIONAL)
+        except DomainError:
+            return
+        assert not r.converged
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda x: eval_F(10**200, x, FMethod.DEFINITIONAL),
+        lambda x: eval_G(10**200, x, GMethod.DEFINITIONAL),
+        lambda x: eval_K(10**200, x),
+    ], ids=["F", "G", "K"])
+    def test_mode_past_the_float_range_of_stirlings_series_is_refused(self, evaluate):
+        with pytest.raises(DomainError, match="Stirling"):
+            evaluate(0.3)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda x: eval_G(3, x, GMethod.DEFINITIONAL),
+        lambda x: eval_K(3, x),
+    ], ids=["G", "K"])
+    def test_non_finite_x_is_refused(self, evaluate):
+        for x in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                evaluate(x)
+
+    @pytest.mark.parametrize("n, j, x", [(10**15, 2, 1.0), (10**16, 5, 0.5)])
+    def test_trapezoid_that_misses_its_peak_is_not_converged(self, n, j, x):
+        # the peak of width 1/sqrt(4nx) falls between the nodes of the finest
+        # rule, and every node's value is 0
+        with mpmath.workdps(30):
+            ref = mpmath.hyp1f1(j + 0.5, j + 1, -4 * mpmath.mpf(n) * x)
+        r = eval_HC_family(n, j, x)
+        assert not r.converged
+        assert r.error_estimate != 0.0
+        assert within_estimate(r, ref)
+
+    @pytest.mark.parametrize("index, n, x", [
+        ("F", 10**40, 1e-39), ("F", 10**200, 1e-199), ("G", 10**40, 1e-39)],
+        ids=["F-1e40", "F-1e200", "G-1e40"])
+    def test_small_mode_at_a_huge_order_is_within_its_estimate(self, index, n, x):
+        # the mode is below 20, so the mode weight is a quotient of truncated
+        # powers of about n factors, whose truncation error grows with n: at
+        # n = 1e40 it used to leave no correct digit
+        if index == "F":
+            r = eval_F(n, x, FMethod.DEFINITIONAL)
+        else:
+            r = eval_G(n, x, GMethod.DEFINITIONAL)
+        with mpmath.workdps(260):
+            x = mpmath.mpf(x)
+            if index == "F":
+                weights = (mpmath.binomial(n, k) * x**k * (1 - x) ** (n - k) for k in range(120))
+            else:
+                weights = (mpmath.binomial(n + k - 1, k) * x**k * (1 + x) ** (-n - k)
+                           for k in range(120))
+            ref = mpmath.fsum(w**2 for w in weights)
+        assert r.converged
+        assert within_estimate(r, ref)
 
     def test_huge_order_forms_no_huge_integer(self):
         # the mode weights come from Stirling's series, not from a C(n, k)

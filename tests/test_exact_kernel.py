@@ -7,9 +7,13 @@ round the same exact value once, so the floats must be equal, not close.
 
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -344,6 +348,34 @@ def test_inputs_in_use_stay_admitted():
     assert eval_F(2000, 0.3).value == eval_F(2000, 0.3, FMethod.FACTORED).value
     assert eval_F(400, 0.3, FMethod.POWER).value == eval_F(400, 0.3, FMethod.EXPANDED).value
     assert eval_G(401, 0.3, GMethod.POWER).value == eval_G(401, 0.3).value
+
+
+def test_family_positive_prefactor_is_bounded_in_theta():
+    # (1 - 2x)^(-2 theta) is an exact power of 2e6 factors here; in a
+    # subprocess first, as an unbudgeted power would take most of a minute
+    script = ("from heunic import DomainError, FamilyParamsPos, eval_family_positive\n"
+              "try:\n    eval_family_positive(FamilyParamsPos(1, 1e6, 1), -0.3)\n"
+              "except DomainError as exc:\n    print(exc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=10)
+    assert "work budget" in proc.stdout
+    for theta in (1e5, 1e6):
+        with pytest.raises(DomainError, match="work budget"):
+            eval_family_positive(FamilyParamsPos(1, theta, 1), -0.3)
+    # a power within the budget is still exact: (1 - 2x)^-4 rounded once
+    r = eval_family_positive(FamilyParamsPos(1, 2.0, 1), -0.3)
+    assert r.value == float((1 - 2 * Fraction(-0.3)) ** -4)
+
+
+def test_times_power_refuses_past_the_sums_work_budget():
+    # (|k| max(bits(r), e))^2 against _SUM_WORK = 5e11: about 7.07e5 bit-factors
+    r, e = (1 << 50) + 1, 50  # 51 bits: 13864 factors are admitted, 13865 are not
+    for k in (13864, -13864):
+        assert _times_power(1, 1, r, e, k) == float(Fraction(r, 2**e) ** k)
+    for r, e, k in [(r, e, 13865), (r, e, -13865), (3, 51, -13865), ((1 << 70) - 1, 0, 10102)]:
+        with pytest.raises(DomainError, match="exact power of .* is past its work budget"):
+            _times_power(1, 1, r, e, k)
 
 
 # ---------------------------------------------------------------------------

@@ -287,3 +287,9 @@ def test_hl_hyp_beyond_one_half_is_bounded_in_q():
     assert time.perf_counter() - start < 1.0
     # a power within the budget is still exact: (-0.4)^(-3) (1 - 0.84/2)
     assert eval_hl_hypergeometric(2.0, 0.7).value == pytest.approx(-9.0625, rel=1e-14)
+
+
+def test_hl_hyp_refuses_non_finite_q_and_x():
+    for q, x in [(math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.7), (1.0, math.nan)]:
+        with pytest.raises(DomainError):
+            eval_hl_hypergeometric(q, x)

@@ -7,6 +7,7 @@ its own type with the same values, and hashes like the tuple of them.
 
 import collections
 import copy
+import math
 import pickle
 
 import pytest
@@ -145,6 +146,18 @@ class TestValidation:
             copy.copy(bad)
         with pytest.raises(DomainError):
             copy.deepcopy(bad)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (FamilyParamsNeg, "theta"), (FamilyParamsNeg, "gamma"),
+    (FamilyParamsPos, "theta"), (FamilyParamsPos, "gamma"),
+    *((Gauss2F1Params, name) for name in Gauss2F1Params._fields),
+    *((Clausen3F2Params, name) for name in Clausen3F2Params._fields),
+])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_field_is_refused(cls, name, value):
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        cls(**{**RECORDS[cls][0], name: value})
 
 
 def test_replace_refuses_an_unknown_field():
