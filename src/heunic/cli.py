@@ -242,6 +242,8 @@ def _cmd_table(args, out: TextIO) -> ExitReport:
 
 
 def _cmd_crosscheck(args, out: TextIO) -> ExitReport:
+    if args.tol is not None and args.tol < 0:
+        raise DomainError("--tol must be nonnegative")
     target, params = _target(args)
     opts = _series_options(args)
     grid = _parse_grid(args.grid)
@@ -266,6 +268,8 @@ def _cmd_verify(args, out: TextIO) -> ExitReport:
         raise DomainError("--trials must be positive")
     if args.trials > _MAX_TRIALS:
         raise DomainError(f"--trials must be at most {_MAX_TRIALS}")
+    if args.tol < 0:
+        raise DomainError("--tol must be nonnegative")
     # only verify needs these, so other commands do not load them
     from . import relations
     from .identities import Mutation, check_identity_A, check_identity_B

@@ -148,10 +148,13 @@ def _gauss_sum(m: int, b: tuple[int, int], c: tuple[int, int],
 
 # Budgets that keep an exact closed form under about a second (0.6 s at
 # most on a 2-vCPU VM): a table of order m costs about m^3 bit operations
-# (0.05 s at m = 400), and a sum of K terms whose integers grow by b bits
-# a term costs about (K b)^2.
+# (11 ms for the power table and 16 ms for the expanded one at m = 400),
+# a sum of K terms whose integers grow by b bits a term costs about
+# (K b)^2, and a binary power of N bits costs about one product of N
+# bits (0.12 s at 2.5e6 bits, the power rounded by ``int / int``).
 _TABLE_ORDER = 400
 _SUM_WORK = 5e11
+_POWER_BITS = 2_500_000
 
 
 def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool = False,
@@ -175,9 +178,9 @@ def _times_power(num: int, den: int, r: int, e: int, k: int) -> float:
     """(num/den) (r/2^e)^k for any integer k, rounded once by ``int / int``.
 
     The power of |k| factors of max(bits(r), e) bits is refused with
-    DomainError past the sums' work budget."""
+    DomainError once those |k| max(bits(r), e) bits pass _POWER_BITS."""
     bits = max(r.bit_length(), e)
-    if (abs(k) * bits) ** 2 > _SUM_WORK:
+    if abs(k) * bits > _POWER_BITS:
         raise DomainError(f"an exact power of {abs(k)} factors of {bits} bits "
                           "is past its work budget")
     if k >= 0:

@@ -41,6 +41,7 @@ evaluates K, K^(j) and that confluent family alike.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from enum import Enum
@@ -90,19 +91,16 @@ def _require_order(n: int, integer: bool = True) -> None:
 def _power_coeffs(m: int) -> tuple[int, ...]:
     """C(m,j) 4^(m-j) sum_i (-1/4)^i C(m-j,i) C(2i+2j,i+j), for j = 0..m.
 
-    The alternating quarter sum is scaled by 4^(m-j) to an integer and
-    summed by Horner's rule in base 4; the rows of signed binomials come
-    from Pascal's rule.
+    Scaled by 4^(m-j), the quarter sum is (-1)^r times the r-th forward
+    difference, r = m - j, of b_k = C(2k,k) 4^(m-k) at k = j: the last
+    entry of b differenced r times.  m passes of list subtraction give
+    every j.
     """
-    central = [math.comb(2 * i, i) for i in range(m + 1)]
-    coeffs = []
-    row = [1]  # (-1)^i C(m-j, i) for i = 0..m-j
-    for j in range(m, -1, -1):
-        acc = 0
-        for signed, c in zip(row, central[j:]):
-            acc = (acc << 2) + signed * c
-        coeffs.append(math.comb(m, j) * acc)
-        row = [1, *map(operator.sub, row[1:], row), -row[-1]]
+    diffs = [math.comb(2 * k, k) << 2 * (m - k) for k in range(m + 1)]
+    coeffs = []  # for j = m, m-1, ..., 0
+    for r in range(m + 1):
+        coeffs.append(math.comb(m, r) * (-diffs[-1] if r & 1 else diffs[-1]))
+        diffs = list(map(operator.sub, diffs[1:], diffs))
     return tuple(reversed(coeffs))
 
 
@@ -110,15 +108,14 @@ def _power_coeffs(m: int) -> tuple[int, ...]:
 def _expanded_coeffs(m: int) -> tuple[int, ...]:
     """4^k sum_{j=k}^{m} C(j,k) C(2j,j) C(2m-2j,m-j), for k = 0..m.
 
-    The sums over j are accumulated row by row of Pascal's triangle.
+    The sums over j are the Taylor shift by one of sum_j o_j t^j, with
+    o_j = C(2j,j) C(2m-2j,m-j): m passes of suffix sums, each fixing one
+    more sum, run as prefix sums of o reversed, which is o itself.
     """
-    outer = [math.comb(2 * j, j) * math.comb(2 * m - 2 * j, m - j) for j in range(m + 1)]
-    sums = [0] * (m + 1)
-    row = [1]  # C(j, k) for k = 0..j
-    for j, o in enumerate(outer):
-        sums[:j + 1] = map(operator.add, sums, [c * o for c in row])
-        row = [1, *map(operator.add, row, row[1:]), 1]
-    return tuple(s << 2 * k for k, s in enumerate(sums))
+    sums = [math.comb(2 * j, j) * math.comb(2 * m - 2 * j, m - j) for j in range(m + 1)]
+    for n in range(m + 1, 1, -1):
+        sums[:n] = itertools.accumulate(sums[:n])
+    return tuple(s << 2 * k for k, s in enumerate(reversed(sums)))
 
 
 def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:

@@ -417,6 +417,18 @@ class TestCrosscheck:
         assert lines[1].startswith("max discrepancy ")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "-0.5"])
+    def test_negative_tolerance_is_usage_error(self, tol):
+        report, out, err = invoke(["crosscheck", "--target", "F", "--n", "10",
+                                   "--grid", "0.5", "--tol", tol])
+        assert (report.code, out, err) == (2, "", "error: --tol must be nonnegative\n")
+
+    def test_zero_tolerance_is_accepted(self):
+        report, out, _ = invoke(["crosscheck", "--target", "G", "--n", "2",
+                                 "--grid", "0.5", "--tol", "0"])
+        assert report.code in (0, 1)
+        assert out.startswith("target G n=2 ")
+
 
 class TestVerify:
     def test_clean_build_passes(self):
@@ -437,7 +449,8 @@ class TestVerify:
         assert report.code == 1
 
     @pytest.mark.parametrize("argv", [["--max-n", "-1", "--trials", "1"],
-                                      ["--max-n", "3", "--trials", "0"]])
+                                      ["--max-n", "3", "--trials", "0"],
+                                      ["--max-n", "3", "--trials", "1", "--tol", "-1"]])
     def test_bad_arguments_are_usage_errors_before_any_output(self, argv):
         report, out, err = invoke(["verify", *argv])
         assert report.code == 2
@@ -471,6 +484,15 @@ class TestVerify:
         assert out.endswith("verification: PASS\n")
         report, out, err = invoke(["verify", "--max-n", "200", "--trials", "0"])
         assert (report.code, out, err) == (2, "", "error: --trials must be positive\n")
+
+    def test_negative_tolerance_is_usage_error(self):
+        report, out, err = invoke(["verify", "--tol", "-1"])
+        assert (report.code, out, err) == (2, "", "error: --tol must be nonnegative\n")
+
+    def test_zero_tolerance_is_accepted(self):
+        report, out, _ = invoke(["verify", "--max-n", "2", "--trials", "1", "--tol", "0"])
+        assert report.code in (0, 1)
+        assert out.startswith("identity A: PASS")
 
     def test_help_names_every_mutation_site(self, capsys):
         from heunic import IDENTITY_A_SITES

@@ -35,7 +35,7 @@ from heunic import (
     pochhammer,
 )
 from heunic import IDENTITY_A_SITES, IDENTITY_B_SITES, Mutation, check_identity_A, check_identity_B
-from heunic.closed_forms import _gauss_sum, _times_power
+from heunic.closed_forms import _checked_ratio, _gauss_sum, _times_power
 from heunic.coincidence import _expanded_coeffs, _power_coeffs
 from heunic.identities import binomial_exact
 
@@ -368,14 +368,47 @@ def test_family_positive_prefactor_is_bounded_in_theta():
     assert r.value == float((1 - 2 * Fraction(-0.3)) ** -4)
 
 
-def test_times_power_refuses_past_the_sums_work_budget():
-    # (|k| max(bits(r), e))^2 against _SUM_WORK = 5e11: about 7.07e5 bit-factors
-    r, e = (1 << 50) + 1, 50  # 51 bits: 13864 factors are admitted, 13865 are not
-    for k in (13864, -13864):
+def test_family_positive_admits_cheap_exact_powers():
+    # (1 - 2x)^-14000 and (1 - 2x)^-40000 of 55-bit factors: 7.7e5 and 2.2e6 bits
+    x = -0.00479456307094589
+    for theta in (7000.0, 20000.0):
+        fp = FamilyParamsPos(1, theta, 1)
+        assert eval_family_positive(fp, x).value == ref_family_positive(fp, x), theta
+    assert eval_family_positive(FamilyParamsPos(1, 7000.0, 1), x).value == 9.4340783960634679e-59
+
+
+def _largest_admitted_order(x):
+    """The largest G order n whose closed form, F_{n-1} at -x, the sums' budget admits."""
+    lo, hi = 1, 1 << 20
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            _checked_ratio(-x, mid - 1)
+            lo = mid
+        except DomainError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("x", [0.3, -0.3, 1e-300, 1e3, -1.2345678901234567e-6, 2.5])
+def test_no_G_order_the_sum_admits_is_refused_by_its_power(x):
+    n = _largest_admitted_order(x)
+    p, q = x.as_integer_ratio()
+    try:
+        _times_power(1, 1, q + 2 * p, q.bit_length() - 1, 1 - 2 * n)
+    except OverflowError:  # the power of G's prefactor was formed, only its float overflows
+        pass
+
+
+def test_times_power_refuses_past_its_bit_budget():
+    # |k| max(bits(r), e) against _POWER_BITS = 2.5e6 bits
+    r, e = (1 << 50) + 1, 50  # 51 bits: 49019 factors are admitted, 49020 are not
+    for k in (49019, -49019):
         assert _times_power(1, 1, r, e, k) == float(Fraction(r, 2**e) ** k)
-    for r, e, k in [(r, e, 13865), (r, e, -13865), (3, 51, -13865), ((1 << 70) - 1, 0, 10102)]:
+    for r, e, k in [(r, e, 49020), (r, e, -49020), (3, 51, -49020), ((1 << 70) - 1, 0, 35715)]:
         with pytest.raises(DomainError, match="exact power of .* is past its work budget"):
             _times_power(1, 1, r, e, k)
+    assert _times_power(1, 1, (1 << 70) - 1, 0, -35714) == float(Fraction(1, (1 << 70) - 1) ** 35714)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +499,29 @@ def test_times_power_overflows_as_before():
 def test_coefficient_tables_match_the_multiplying_loops(table, reference):
     for m in KERNEL_ORDERS:
         assert table(m) == reference(m), m
+
+
+def _times_linear(c0, c1, poly, length):
+    """The coefficients of (c0 + c1 v) poly(v), padded with zeros to ``length``."""
+    padded = [*poly, *[0] * (length - len(poly))]
+    return [c0 * padded[k] + c1 * (padded[k - 1] if k else 0) for k in range(length)]
+
+
+# 4^m F_m(x) is P_m(s) in s = (1-2x)^2 and E_m(w) in w = x^2 - x, and
+# F_m(x) = d^m L_m((1 + d^2)/(2d)) with d = 1 - 2x and L_m Legendre's
+# polynomial, so both tables obey its recurrence, in (a0, a1) and (b0, b1):
+# (m+1) T_{m+1}(v) = (2m+1) (a0 + a1 v) T_m(v) - m (b0 + b1 v) T_{m-1}(v)
+@pytest.mark.parametrize("table,first,second,start", [
+    (_power_coeffs, (2, 2), (0, 16), (2, 2)),
+    (_expanded_coeffs, (4, 8), (16, 64), (4, 8)),
+], ids=["power", "expanded"])
+def test_coefficient_tables_satisfy_legendres_recurrence(table, first, second, start):
+    assert table(0) == (1,) and table(1) == start
+    for m in range(1, 119):
+        lhs = [(m + 1) * c for c in table(m + 1)]
+        rise = _times_linear(*first, table(m), m + 2)
+        fall = _times_linear(*second, table(m - 1), m + 2)
+        assert lhs == [(2 * m + 1) * u - m * d for u, d in zip(rise, fall)], m
 
 
 # ---------------------------------------------------------------------------
