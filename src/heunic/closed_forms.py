@@ -25,18 +25,18 @@ is the negative family at theta = 1/2, gamma = 1 and the sample family
 at i = 0, and G_n(x) = (1+2x)^{1-2n} F_{n-1}(-x).
 
 Every float is a dyadic rational p/q, so every closed form at x is one
-integer numerator over one integer denominator.  The integer kernel that
-``coincidence`` and ``hypergeom`` share, ``_gauss_sum`` over a
-terminating Gauss series and ``_horner`` over a coefficient table, forms
-that pair, and the route rounds once by the correctly rounded
-``int / int``: the float nearest the exact value, even where the
-alternating terms cancel.
+integer numerator over one integer denominator.  In the exact layer
+that ``coincidence`` and ``hypergeom`` share, ``_checked_ratio`` refuses
+every budget, the sum's and a (1 - 2x)^k prefactor's, before any sum is
+formed; ``_gauss_sum`` or ``_horner`` forms the pair; and ``_rounded``
+applies the prefactor and rounds once by the correctly rounded ``int /
+int``, to the float nearest the exact value even where the terms cancel.
 
-The kernel shifts where it would multiply by a power of two.  Every
-float denominator q is one, so the kernels take its exponent e (q^2 =
-2^e) and shift by e where a general q^2 would multiply; ``_times_power``
-raises r/2^e as a power of r over one shift, and the 4^m of the closed
-forms' denominators and coefficient tables is a shift by 2m.
+The kernel shifts where it would multiply by a power of two: every float
+denominator q is one, so the kernels take its exponent e (q^2 = 2^e) and
+shift by e where a general q^2 would multiply, ``_rounded`` raises r/2^e
+as a power of r over one shift, and the 4^m of the closed forms and their
+coefficient tables is a shift by 2m.
 """
 
 from __future__ import annotations
@@ -157,12 +157,13 @@ _SUM_WORK = 5e11
 _POWER_BITS = 2_500_000
 
 
-def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool = False,
-                   remedy: str = "") -> tuple[int, int]:
+def _checked_ratio(x: float, terms: int, *params: tuple[int, int], power: int = 0,
+                   table: bool = False, remedy: str = "") -> tuple[int, int]:
     """x as its integer ratio (p, q), after refusing with DomainError a
-    non-finite x and a closed form of ``terms`` terms past its budget; a
-    term adds about 2 max(bits(p), bits(q)) + 2 bits(terms) bits and the
-    bits of the parameters' integer ratios ``params``."""
+    non-finite x, then ``terms`` terms past their budget (a term adds about
+    2 max(bits(p), bits(q)) + 2 bits(terms) bits and the bits of ``params``),
+    then (1 - 2x)^power past its own (|power| factors of max(bits(q - 2p),
+    bits(q) - 1) bits), unless it is 0 to a negative power, the caller's pole."""
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     p, q = x.as_integer_ratio()
@@ -171,21 +172,28 @@ def _checked_ratio(x: float, terms: int, *params: tuple[int, int], table: bool =
     if (table and terms > _TABLE_ORDER) or (terms * bits) ** 2 > _SUM_WORK:
         raise DomainError(f"an exact closed form of {terms} terms of {bits} bits "
                           f"is past its work budget{remedy}")
+    bits = max((q - 2 * p).bit_length(), q.bit_length() - 1)  # 1 - 2x = (q - 2p)/q
+    if abs(power) * bits > _POWER_BITS and (q != 2 * p or power > 0):
+        raise DomainError(f"an exact power of {abs(power)} factors of {bits} bits "
+                          "is past its work budget")
     return p, q
 
 
-def _times_power(num: int, den: int, r: int, e: int, k: int) -> float:
-    """(num/den) (r/2^e)^k for any integer k, rounded once by ``int / int``.
-
-    The power of |k| factors of max(bits(r), e) bits is refused with
-    DomainError once those |k| max(bits(r), e) bits pass _POWER_BITS."""
-    bits = max(r.bit_length(), e)
-    if abs(k) * bits > _POWER_BITS:
-        raise DomainError(f"an exact power of {abs(k)} factors of {bits} bits "
-                          "is past its work budget")
-    if k >= 0:
-        return num * r**k / (den << e * k)
-    return (num << e * -k) / (den * r**-k)
+def _rounded(num: int, den: int, terms: int, r: int = 1, e: int = 0, k: int = 0) -> EvalResult:
+    """(num/den) (r/2^e)^k, k any integer, rounded once by ``int / int``: a closed
+    form of ``terms`` terms, converged with estimate 0 inside the float range,
+    and not converged, estimate inf, at +-inf or where a nonzero value rounds to 0."""
+    if k > 0:
+        num, den = num * r**k, den << e * k
+    elif k < 0:
+        num, den = num << e * -k, den * r**-k
+    try:
+        value = num / den
+    except OverflowError:
+        value = math.inf if (num < 0) == (den < 0) else -math.inf
+    if math.isinf(value) or (num and not value):
+        return EvalResult(value, terms, False, math.inf)
+    return EvalResult(value, terms, True, 0.0)
 
 
 def _sample_sum(i: int, m: int, s: int, e: int) -> tuple[int, int]:
@@ -201,41 +209,46 @@ def eval_family_negative(fp: FamilyParamsNeg, x: float) -> EvalResult:
     theta, gamma = fp.theta.as_integer_ratio(), fp.gamma.as_integer_ratio()
     p, q = _checked_ratio(x, fp.n, theta, gamma)
     num, den = _gauss_sum(fp.n, theta, gamma, 4 * p * (q - p), 2 * q.bit_length() - 2)
-    return EvalResult(num / den, fp.n + 1, True, 0.0)
+    return _rounded(num, den, fp.n + 1)
 
 
 def eval_family_positive(fp: FamilyParamsPos, x: float) -> EvalResult:
     """Prefactored closed form of the positive family.
 
-    Raises PoleError at x = 1/2 when the exponent -2(n - gamma + theta)
-    is negative, and DomainError for x > 1/2 when the exponent is not an
-    integer (the real-valued branch does not exist there).  An integral
-    exponent keeps the prefactor exact; otherwise the two factors are
-    rounded apart and multiplied, and the estimate bounds the rounding:
-    that of 1 - 2x times |exponent|, that of the exponent times
-    |log(1 - 2x)|, and that of the power and the two quotients.
+    Raises PoleError at x = 1/2 when the exponent -2(n - gamma + theta) is
+    negative, and DomainError for x > 1/2 when it is not an integer (no
+    real branch exists there).  An integral exponent keeps the prefactor
+    exact; otherwise the two factors are rounded apart and multiplied, and
+    the estimate bounds the rounding of 1 - 2x times |exponent|, of the
+    exponent times |log(1 - 2x)|, and of the power and the two quotients.
+    Past the float range or below its normal range, where no rounding is
+    relative, that product is not converged, with an infinite estimate.
     """
-    gamma = int(fp.gamma)
+    gamma, m = int(fp.gamma), fp.n - int(fp.gamma)
     tn, td = fp.theta.as_integer_ratio()
-    p, q = _checked_ratio(x, fp.n - gamma, (tn, td), (gamma, 1))
-    exponent = -2.0 * (fp.n - fp.gamma + fp.theta)
+    exponent = -2.0 * (m + fp.theta) if m < 2**60 else 0.0  # m >= 2**60 fails the sum's budget
+    integral = exponent.is_integer()
+    p, q = _checked_ratio(x, m, (tn, td), (gamma, 1), power=int(exponent) if integral else 0)
     r = q - 2 * p  # 1 - 2x = r/q
     if r == 0 and exponent < 0:
         raise PoleError("x = 1/2 is a pole for a negative exponent")
-    integral = float(exponent).is_integer()
     if r < 0 and not integral:
-        raise DomainError(
-            "negative base with non-integer exponent has no real value")
-    num, den = _gauss_sum(fp.n - gamma, (gamma * td - tn, td), (gamma, 1),
+        raise DomainError("negative base with non-integer exponent has no real value")
+    num, den = _gauss_sum(m, (gamma * td - tn, td), (gamma, 1),
                           4 * p * (q - p), 2 * q.bit_length() - 2)
     if integral:
-        value = _times_power(num, den, r, q.bit_length() - 1, int(exponent))
-        return EvalResult(value, fp.n - gamma + 1, True, 0.0)
-    base = r / q
-    value = base**exponent * (num / den)
+        return _rounded(num, den, m + 1, r, q.bit_length() - 1, int(exponent))
+    s = _rounded(num, den, m + 1)
+    base = 1.0 - 2.0 * x  # r/q, rounded once
+    try:
+        value = base**exponent * s.value if num else 0.0
+    except OverflowError:
+        value = math.copysign(math.inf, s.value)
+    if not s.converged or (num and r and not 2.0**-1022 <= abs(value) < math.inf):
+        return EvalResult(value, m + 1, False, math.inf)
     log_base = abs(math.log(base)) if base else 0.0
     estimate = (abs(exponent) / 2 * (1.0 + log_base) + 3.0) * _EPS * abs(value)
-    return EvalResult(value, fp.n - gamma + 1, True, estimate)
+    return EvalResult(value, m + 1, True, estimate)
 
 
 def eval_sample_family(n: int, i: int, x: float) -> EvalResult:
@@ -253,4 +266,4 @@ def eval_sample_family(n: int, i: int, x: float) -> EvalResult:
     p, q = _checked_ratio(x, n - i)
     # 4^j (x-1/2)^{2j} = ((2p-q)/q)^{2j}, and (2i)!!/(2i-1)!! = 4^i / C(2i,i)
     num, den = _sample_sum(i, n - i, (2 * p - q) ** 2, 2 * q.bit_length() - 2)
-    return EvalResult(num / den, n - i + 1, True, 0.0)
+    return _rounded(num, den, n - i + 1)

@@ -46,7 +46,7 @@ import math
 import operator
 from enum import Enum
 
-from .closed_forms import _checked_ratio, _gauss_sum, _horner, _sample_sum, _times_power
+from .closed_forms import _checked_ratio, _gauss_sum, _horner, _rounded, _sample_sum
 from .errors import DomainError, PoleError
 from .series import _EPS, _LN2, DEFAULT_OPTIONS, EvalResult, SeriesOptions
 
@@ -118,23 +118,25 @@ def _expanded_coeffs(m: int) -> tuple[int, ...]:
     return tuple(s << 2 * k for k, s in enumerate(reversed(sums)))
 
 
-def _closed_form(m: int, x: float, method: FMethod) -> tuple[int, int]:
-    """F_m(x) by one of its four closed forms, as (numerator, denominator)."""
-    p, q = _checked_ratio(x, m, table=method in (FMethod.POWER, FMethod.EXPANDED),
-                          remedy="; use --method definitional")
+def _closed_form(m: int, x: float, method: FMethod, k: int = 0) -> EvalResult:
+    """F_m(x) (1-2x)^k, F_m by one of its four closed forms, rounded once."""
+    table = method in (FMethod.POWER, FMethod.EXPANDED)
+    p, q = _checked_ratio(x, m, power=k, table=table, remedy="; use --method definitional")
     w, s = p * (p - q), (q - 2 * p) ** 2  # x^2 - x and (1-2x)^2, over q^2
     e = 2 * q.bit_length() - 2  # q^2 = 2^e
     if method is FMethod.FACTORED:  # the negative family at theta = 1/2, gamma = 1
-        return _gauss_sum(m, (1, 2), (1, 1), -4 * w, e)  # 2F1(-m, 1/2; 1; 4x(1-x))
-    if method is FMethod.ESTABLISHED:  # the sample family at i = 0
-        return _sample_sum(0, m, s, e)
-    if method is FMethod.POWER:
+        num, den = _gauss_sum(m, (1, 2), (1, 1), -4 * w, e)  # 2F1(-m, 1/2; 1; 4x(1-x))
+    elif method is FMethod.ESTABLISHED:  # the sample family at i = 0
+        num, den = _sample_sum(0, m, s, e)
+    elif method is FMethod.POWER:
         num, den = _horner(_power_coeffs(m), s, e)
     elif method is FMethod.EXPANDED:
         num, den = _horner(_expanded_coeffs(m), w, e)
     else:
         raise DomainError(f"unknown F method {method!r}")
-    return num, den << 2 * m
+    if table:
+        den <<= 2 * m  # the tables are scaled by 4^m
+    return _rounded(num, den, m + 1, q - 2 * p, e // 2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +264,7 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED,
     """
     _require_order(n)
     if method is not FMethod.DEFINITIONAL:
-        num, den = _closed_form(n, x, method)
-        return EvalResult(num / den, n + 1, True, 0.0)
+        return _closed_form(n, x, method)
     if not 0.0 <= x <= 1.0:
         raise DomainError("the defining sum for F needs 0 <= x <= 1")
     opts = opts or DEFAULT_OPTIONS
@@ -279,17 +280,6 @@ def eval_F(n: int, x: float, method: FMethod = FMethod.ESTABLISHED,
 # G_n routes
 
 
-def _g_definitional(n: int, x: float, opts: SeriesOptions) -> EvalResult:
-    if not x >= 0.0:
-        raise DomainError("the defining sum for G needs x >= 0")
-    _require_count((n - 1) * x)  # about the mode m; inf or NaN at x = inf
-    p, q = x.as_integer_ratio()
-    m = (n - 1) * p // q  # the mode of C(n+k-1,k) t^k (1-t)^n, t = x/(1+x)
-    weight = _binomial_mode_weight(n + m - 1, m, p, p + q) * (q / (p + q))
-    return _mode_sum(weight * weight, m, float(n), 1.0, p / (p + q),
-                     opts.rel_tol, opts.max_terms)
-
-
 def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
            opts: SeriesOptions | None = None) -> EvalResult:
     """Index of coincidence G_n(x) by the selected route.
@@ -301,18 +291,22 @@ def eval_G(n: int, x: float, method: GMethod = GMethod.ESTABLISHED,
     forms are exact finite sums (x != -1/2).
     """
     _require_order(n)
+    if method is not GMethod.DEFINITIONAL:
+        if x == -0.5:
+            raise PoleError("x = -1/2 is a pole of the closed forms for G")
+        if not isinstance(method, GMethod):
+            raise DomainError(f"unknown G method {method!r}")
+        # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and 1 + 2x = 1 - 2(-x)
+        return _closed_form(n - 1, -x, FMethod(method.value), 1 - 2 * n)
+    if not x >= 0.0:
+        raise DomainError("the defining sum for G needs x >= 0")
+    _require_count((n - 1) * x)  # about the mode m; inf or NaN at x = inf
     opts = opts or DEFAULT_OPTIONS
-    if method is GMethod.DEFINITIONAL:
-        return _g_definitional(n, x, opts)
-    if x == -0.5:
-        raise PoleError("x = -1/2 is a pole of the closed forms for G")
-    if not isinstance(method, GMethod):
-        raise DomainError(f"unknown G method {method!r}")
-    num, den = _closed_form(n - 1, -x, FMethod(method.value))
-    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x), and 1+2x = (q+2p)/q
     p, q = x.as_integer_ratio()
-    return EvalResult(_times_power(num, den, q + 2 * p, q.bit_length() - 1, 1 - 2 * n),
-                      n, True, 0.0)
+    m = (n - 1) * p // q  # the mode of C(n+k-1,k) t^k (1-t)^n, t = x/(1+x)
+    weight = _binomial_mode_weight(n + m - 1, m, p, p + q) * (q / (p + q))
+    return _mode_sum(weight * weight, m, float(n), 1.0, p / (p + q),
+                     opts.rel_tol, opts.max_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .closed_forms import _horner, _times_power, pochhammer
+from .closed_forms import _checked_ratio, _horner, _rounded, pochhammer
 from .errors import DivergentSeriesError, DomainError
 from .series import (
     _EPS,
@@ -189,24 +189,27 @@ def eval_hl_hypergeometric(q: float, x: float,
     exponent = 1.0 - 2.0 * q
     base = 1.0 - 2.0 * x
     if base < 0.0 and not float(exponent).is_integer():
-        raise DomainError(
-            "no real branch beyond x = 1/2 for non-integer exponent")
-    if base > 0.0:
-        prefactor = base**exponent
-    else:  # an exact power of |exponent| factors, under the closed forms' budget
-        p, d = x.as_integer_ratio()  # 1 - 2x = (d - 2p)/d
-        prefactor = _times_power(1, 1, d - 2 * p, d.bit_length() - 1, int(exponent))
+        raise DomainError("no real branch beyond x = 1/2 for non-integer exponent")
     z = 4.0 * x * (1.0 - x)
-    scale = 1.0
     if z < 0.0:
-        # Pfaff: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
-        # and here c - b = 1/2 = b, so the parameter triple is unchanged.
-        scale = (1.0 - z) ** (q - 1.0)
-        z = z / (z - 1.0)
+        # Pfaff: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)), and here
+        # c - b = 1/2 = b, so the parameter triple is unchanged; as 1 - z is
+        # (1-2x)^2, the prefactor times (1-z)^(q-1) is 1/(1-2x)
+        prefactor, z = 1.0 / base, z / (z - 1.0)
+    elif base > 0.0:
+        try:
+            prefactor = base**exponent
+        except OverflowError:
+            prefactor = math.inf
+    else:  # an exact power of |exponent| factors, under the closed forms' budget
+        p, d = _checked_ratio(x, 0, power=int(exponent))  # 1 - 2x = (d - 2p)/d
+        prefactor = _rounded(1, 1, 0, d - 2 * p, d.bit_length() - 1, int(exponent)).value
     inner = gauss_2f1(Gauss2F1Params(1.0 - q, 0.5, 1.0), z, opts)
-    factor = abs(prefactor * scale)
-    return EvalResult(prefactor * scale * inner.value, inner.terms_used,
-                      inner.converged, factor * inner.error_estimate)
+    value = prefactor * inner.value
+    if not 2.0**-1022 <= abs(value) < math.inf:  # past the float range or below its normal range
+        return EvalResult(value, inner.terms_used, False, math.inf)
+    return EvalResult(value, inner.terms_used, inner.converged,
+                      abs(prefactor) * inner.error_estimate)
 
 
 def harmonic(n: int) -> Fraction:

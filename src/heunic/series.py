@@ -108,16 +108,16 @@ DEFAULT_OPTIONS = SeriesOptions()
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a truncated series or quadrature plus diagnostics.
+    """Value of a series, quadrature or closed form plus diagnostics.
 
-    When a series did not converge, ``error_estimate`` is the magnitude
-    of its last computed term, or infinity while its terms still grow,
-    since that term then bounds nothing; ``gauss_2f1`` divides the
-    kernel's estimate by 1 - r, r = min(|x|, 0.999), to bound the tail.
-    For converged evaluations it also accounts for cancellation, and is
-    below the value's magnitude: the series kernel, the mode walks of F,
-    G and K and the trapezoid of K^(j) mark a result whose estimate is
-    not below it as not converged.
+    An exact closed form has estimate 0, which means its value is correctly
+    rounded; where it rounds to +-inf, or a nonzero value rounds to 0, it
+    is not converged, with an infinite estimate.  An unconverged series has
+    its last term as the estimate, or infinity while its terms still grow;
+    ``gauss_2f1`` divides it by 1 - min(|x|, 0.999) to bound the tail.  A
+    converged estimate accounts for cancellation and is below the value's
+    magnitude: the series kernel, the mode walks of F, G and K and the
+    trapezoid of K^(j) mark one whose estimate is not below it unconverged.
     """
 
     value: float

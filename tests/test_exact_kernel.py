@@ -29,13 +29,15 @@ from heunic import (
     eval_family_negative,
     eval_family_positive,
     eval_G,
+    eval_hl_hypergeometric,
     eval_sample_family,
     gauss_2f1_closed,
     harmonic,
     pochhammer,
 )
 from heunic import IDENTITY_A_SITES, IDENTITY_B_SITES, Mutation, check_identity_A, check_identity_B
-from heunic.closed_forms import _checked_ratio, _gauss_sum, _times_power
+from heunic import EvalResult, closed_forms
+from heunic.closed_forms import _checked_ratio, _gauss_sum, _rounded
 from heunic.coincidence import _expanded_coeffs, _power_coeffs
 from heunic.identities import binomial_exact
 
@@ -298,13 +300,24 @@ def test_nan_x_is_a_domain_error():
 # one rounding of (num/den) (r/q)^k
 
 
+def _rounded_power(num, den, r, e, k):
+    """The float of (num/den) (r/2^e)^k that ``_rounded`` returns, checked
+    against its range rule; the power tests below call it."""
+    result = _rounded(num, den, 7, r, e, k)
+    assert result.terms_used == 7
+    exact_zero = num == 0 or (r == 0 and k > 0)
+    assert result.converged == (math.isfinite(result.value) and (result.value != 0 or exact_zero))
+    assert result.error_estimate == (0.0 if result.converged else math.inf)
+    return result.value
+
+
 def test_times_power_rounds_the_fraction_power_once():
     rng = random.Random("times-power")
     bases = [-rng.uniform(0.0, 1.0) for _ in range(20)] + [-rng.uniform(1.0, 1e3) for _ in range(10)]
     for base in bases + [-1e-30, -0.5, -1.0]:
         r, q = base.as_integer_ratio()
         for k in range(-9, 10):
-            assert _times_power(1, 1, r, q.bit_length() - 1, k) == float(Fraction(base) ** k)
+            assert _rounded_power(1, 1, r, q.bit_length() - 1, k) == float(Fraction(base) ** k)
 
 
 def test_times_power_with_a_signed_fraction():
@@ -313,7 +326,7 @@ def test_times_power_with_a_signed_fraction():
         num, den = rng.randint(-10**30, 10**30), rng.randint(1, 10**30)
         r, e = rng.choice([-1, 1]) * rng.randint(1, 10**20), rng.randint(0, 70)
         k = rng.randint(-12, 12)
-        assert _times_power(num, den, r, e, k) == float(Fraction(num, den) * Fraction(r, 2**e) ** k)
+        assert _rounded_power(num, den, r, e, k) == float(Fraction(num, den) * Fraction(r, 2**e) ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +390,63 @@ def test_family_positive_admits_cheap_exact_powers():
     assert eval_family_positive(FamilyParamsPos(1, 7000.0, 1), x).value == 9.4340783960634679e-59
 
 
+def test_the_power_budget_is_checked_before_the_sum(monkeypatch):
+    def gauss_sum(*args):
+        raise AssertionError("the Gauss sum was formed")
+
+    monkeypatch.setattr(closed_forms, "_gauss_sum", gauss_sum)
+    with pytest.raises(DomainError, match="exact power of 2008798 factors of 55 bits "
+                                          "is past its work budget"):
+        eval_family_positive(FamilyParamsPos(4400, 1e6, 1), -0.00479456307094589)
+
+
+# ---------------------------------------------------------------------------
+# the float range: a closed form past it, or a nonzero one that rounds to 0,
+# is not converged, with an infinite estimate
+
+
+@pytest.mark.parametrize("call,value", [
+    (lambda: eval_F(2000, -0.3), math.inf),
+    (lambda: eval_F(2000, -0.3, FMethod.FACTORED), math.inf),
+    (lambda: eval_G(2000, -0.6), -math.inf),  # (1+2x)^(1-2n) < 0
+    (lambda: eval_G(2000, -0.6, GMethod.FACTORED), -math.inf),
+    (lambda: eval_family_negative(FamilyParamsNeg(2000, 0.5, 1), -0.3), math.inf),
+    (lambda: eval_sample_family(2000, 0, -0.3), math.inf),
+    (lambda: eval_family_positive(FamilyParamsPos(3, 400.0, 1), 0.4999), math.inf),
+    (lambda: eval_family_positive(FamilyParamsPos(3, 400.3, 1), 0.4999), math.inf),
+    (lambda: eval_hl_hypergeometric(2000.0, 0.9), -math.inf),
+    (lambda: eval_family_positive(FamilyParamsPos(1, 800.0, 1), -0.3), 0.0),  # 2.6e-327
+    (lambda: eval_family_positive(FamilyParamsPos(1, 800.3, 1), -0.3), 0.0),
+], ids=["F", "F-factored", "G", "G-factored", "family-neg", "sample-family", "family-pos",
+        "family-pos-float", "hl-hyp", "family-pos-underflow", "family-pos-float-underflow"])
+def test_a_value_outside_the_float_range_is_not_converged(call, value):
+    result = call()
+    assert (result.value, result.converged, result.error_estimate) == (value, False, math.inf)
+
+
+def test_a_subnormal_closed_form_is_correctly_rounded():
+    fp = FamilyParamsPos(1, 759.5, 1)  # (1 - 2x)^-1519 at x = -0.3, about 8.7e-311
+    result = eval_family_positive(fp, -0.3)
+    assert 0.0 < result.value < sys.float_info.min
+    assert (result.value, result.converged, result.error_estimate) == (
+        ref_family_positive(fp, -0.3), True, 0.0)
+
+
+def test_a_rounded_float_below_the_normal_range_is_not_converged():
+    # 1.6^-1572.6 is about 1.0e-321, a subnormal of three digits, 8e-4 off
+    # relative, where a relative estimate rounds to 0
+    result = eval_family_positive(FamilyParamsPos(1, 786.3, 1), -0.3)
+    assert (result.converged, result.error_estimate) == (False, math.inf)
+
+
+@pytest.mark.parametrize("q,x", [(800.3, -0.3), (2000.0, 0.4999)], ids=["pfaff", "float-power"])
+def test_hl_hyp_past_the_float_range_is_not_converged(q, x):
+    # the Pfaff branch, x < 0, forms no power: its prefactor is 1/(1 - 2x);
+    # (1 - 2x)^(1-2q) of a float base past the float range is infinite
+    result = eval_hl_hypergeometric(q, x)
+    assert not result.converged and not result.error_estimate < abs(result.value)
+
+
 def _largest_admitted_order(x):
     """The largest G order n whose closed form, F_{n-1} at -x, the sums' budget admits."""
     lo, hi = 1, 1 << 20
@@ -392,23 +462,32 @@ def _largest_admitted_order(x):
 
 @pytest.mark.parametrize("x", [0.3, -0.3, 1e-300, 1e3, -1.2345678901234567e-6, 2.5])
 def test_no_G_order_the_sum_admits_is_refused_by_its_power(x):
+    # G_n(x) = (1+2x)^(1-2n) F_{n-1}(-x): the admission of both at once
     n = _largest_admitted_order(x)
-    p, q = x.as_integer_ratio()
-    try:
-        _times_power(1, 1, q + 2 * p, q.bit_length() - 1, 1 - 2 * n)
-    except OverflowError:  # the power of G's prefactor was formed, only its float overflows
-        pass
+    _checked_ratio(-x, n - 1, power=1 - 2 * n)
 
 
 def test_times_power_refuses_past_its_bit_budget():
-    # |k| max(bits(r), e) against _POWER_BITS = 2.5e6 bits
-    r, e = (1 << 50) + 1, 50  # 51 bits: 49019 factors are admitted, 49020 are not
+    # |k| max(bits(q - 2p), bits(q) - 1) of (1 - 2x)^k, x = p/q, against
+    # _POWER_BITS = 2.5e6 bits, refused before any integer of the power is formed
+    cases = [(3 / 2**51, 51, 49019),  # 1 - 2x = (2^51 - 6)/2^51
+             (-(2**50 + 1) / 2, 52, 48076),  # 1 - 2x = (2^51 + 4)/2: bits(r) wins
+             (3 / 2**70, 70, 35714)]
+    for x, bits, most in cases:
+        p, q = x.as_integer_ratio()
+        assert max((q - 2 * p).bit_length(), q.bit_length() - 1) == bits
+        assert most * bits <= 2_500_000 < (most + 1) * bits
+        for k in (most, -most, 0):
+            assert _checked_ratio(x, 0, power=k) == (p, q)
+        for k in (most + 1, -most - 1):
+            with pytest.raises(DomainError, match=f"exact power of {most + 1} factors of "
+                                                  f"{bits} bits is past its work budget"):
+                _checked_ratio(x, 0, power=k)
+    # the powers at the edge, rounded once
+    r, e = (1 << 50) + 1, 50
     for k in (49019, -49019):
-        assert _times_power(1, 1, r, e, k) == float(Fraction(r, 2**e) ** k)
-    for r, e, k in [(r, e, 49020), (r, e, -49020), (3, 51, -49020), ((1 << 70) - 1, 0, 35715)]:
-        with pytest.raises(DomainError, match="exact power of .* is past its work budget"):
-            _times_power(1, 1, r, e, k)
-    assert _times_power(1, 1, (1 << 70) - 1, 0, -35714) == float(Fraction(1, (1 << 70) - 1) ** 35714)
+        assert _rounded_power(1, 1, r, e, k) == float(Fraction(r, 2**e) ** k)
+    assert _rounded_power(1, 1, (1 << 70) - 1, 0, -35714) == float(Fraction(1, (1 << 70) - 1) ** 35714)
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +554,33 @@ def _side(rng):
     return _signed(rng, rng.randint(1, 70)) or 3
 
 
+def _in_range(func, num, den, r, e, k):
+    """func's float, or the signed infinity of a value past the float range."""
+    try:
+        return func(num, den, r, e, k)
+    except OverflowError:
+        negative = (num < 0) != (r < 0 and k % 2 == 1)  # here den > 0 and num != 0
+        return -math.inf if negative else math.inf
+
+
 def test_times_power_matches_the_multiplying_kernel():
     rng = random.Random("times-power-kernel")
     for k in (*range(-60, 61), -400, 400):
         for _ in range(8):
             num, den = _signed(rng, rng.randint(1, 200)), rng.getrandbits(rng.randint(1, 200)) + 1
             r, e = _side(rng), rng.randint(0, 80)
-            assert (_outcome(_times_power, num, den, r, e, k)
-                    == _outcome(ref_times_power, num, den, r, e, k)), (num, den, r, e, k)
+            assert (_outcome(_rounded_power, num, den, r, e, k)
+                    == _outcome(_in_range, ref_times_power, num, den, r, e, k)), (num, den, r, e, k)
 
 
 def test_times_power_overflows_as_before():
-    for r, e, k in [((1 << 60) + 3, 0, 40), (3, 60, -40), (-5, 60, -41), (7, 2, 2000)]:
+    # past the float range the multiplying kernel raises; the closed forms'
+    # rounding returns the signed infinity, not converged
+    for r, e, k, inf in [((1 << 60) + 3, 0, 40, math.inf), (3, 60, -40, math.inf),
+                         (-5, 60, -41, -math.inf), (7, 2, 2000, math.inf)]:
         with pytest.raises(OverflowError):
             ref_times_power(1, 1, r, e, k)
-        with pytest.raises(OverflowError):
-            _times_power(1, 1, r, e, k)
+        assert _rounded(1, 1, 1, r, e, k) == EvalResult(inf, 1, False, math.inf)
 
 
 @pytest.mark.parametrize("table,reference", [(_power_coeffs, ref_power_coeffs),
